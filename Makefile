@@ -1,10 +1,16 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench perf-smoke smoke-trace serve-smoke report lint check certify ranges chaos-smoke chaos-multi perfgate perfgate-rebaseline ci clean
+.PHONY: test perfbench-test bench perf-smoke smoke-trace serve-smoke report lint check certify ranges chaos-smoke chaos-multi perfgate perfgate-rebaseline ci clean
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
+
+# The repo benchmark's own tests: each perfbench/layers.py target must
+# still resolve, so renaming or moving a timed function fails here rather
+# than in the next benchmark run.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
 
 # Static analysis gate.  Uses ruff + mypy when the [lint] extra is
 # installed; otherwise falls back to the committed stdlib checker so the
@@ -78,7 +84,7 @@ perfgate-rebaseline:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro perfgate --repeats 3 --rebaseline
 
 # Full local CI chain, in the order a reviewer would want failures surfaced.
-ci: lint test smoke-trace check certify ranges serve-smoke chaos-smoke chaos-multi perfgate
+ci: lint test perfbench-test smoke-trace check certify ranges serve-smoke chaos-smoke chaos-multi perfgate
 
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -30,16 +30,22 @@ identical.
 Execution paths
 ---------------
 ``config.exec_path`` selects the iteration core.  The default ``"fast"``
-path batches each wave into one vectorized step: within a wave, shards only
-communicate through ``SrcValue`` (refreshed at wave boundaries) and each
-shard exclusively owns its destination-vertex slice, so concatenating a
-wave's shard entries and running ``messages`` / ``apply_reductions`` /
-``apply`` once over the whole wave is bit-identical to the per-shard loop
-(``ufunc.at`` applies updates sequentially in entry order, which the
-concatenation preserves).  Hardware pricing uses the segmented helpers so
-warp rows never span shard boundaries; the per-shard stage-4 stats are one
-matrix whose updated rows are summed per iteration.  ``"reference"``
-preserves the original per-shard loop as the equivalence baseline.
+path batches each wave into one vectorized step.  It rests on the
+*wave-start invariant*: at every wave start, ``SrcValue`` equals
+``VertexValues[SrcIndex]``, because values change only in updated shards
+and an updated shard's stage 4 refreshes every entry it sources (its
+``CW_i`` slice).  So the fast path never materialises ``SrcValue``: each
+wave gathers ``VertexValues[SrcIndex]`` before its own updates land, and
+stage 4 is priced per updated shard from ``bundle.stage4``.  Each shard
+exclusively owns its destination-vertex slice, so running ``messages`` /
+``apply_reductions`` / ``apply`` once over a wave's concatenated entries
+is bit-identical to the per-shard loop (``ufunc.at`` applies updates in
+entry order, which the concatenation preserves).  Hardware pricing uses
+the segmented helpers so warp rows never span shard boundaries.
+``"reference"`` keeps the per-shard loop, with the literal ``SrcValue``
+array and write-back, as the equivalence baseline.  The streamed engine
+is deliberately out of scope: its iteration-end flush leaves ``SrcValue``
+stale mid-iteration, so it keeps its own copy.
 """
 
 from __future__ import annotations
@@ -328,8 +334,10 @@ class CuShaEngine(Engine):
         # ----- device arrays -------------------------------------------------
         vertex_values = config.initial_values(graph, program)
         static_all = program.static_values(graph)
-        src_value = vertex_values[sh.src_index].copy()
-        src_static = None if static_all is None else static_all[sh.src_index]
+        # Each wave reads SrcValue as vertex_values[src_index] (module
+        # docstring: the wave-start invariant).
+        src_index = sh.src_index.astype(np.intp)
+        src_static = None if static_all is None else static_all[src_index]
         ev = program.edge_values(graph)
         edge_vals = None if ev is None else ev[sh.edge_positions]
 
@@ -508,7 +516,7 @@ class CuShaEngine(Engine):
                         old = vertex_values[v_idx]
                         local = program.init_local(old)
                         msgs, mask = program.messages(
-                            src_value[e_idx],
+                            vertex_values[src_index[e_idx]],
                             None if src_static is None else src_static[e_idx],
                             None if edge_vals is None else edge_vals[e_idx],
                             old[dest_sub],
@@ -523,7 +531,7 @@ class CuShaEngine(Engine):
                         old = vertex_values[vlo:vhi]
                         local = program.init_local(old)
                         msgs, mask = program.messages(
-                            src_value[eo:ee],
+                            vertex_values[src_index[eo:ee]],
                             None if src_static is None else src_static[eo:ee],
                             None if edge_vals is None else edge_vals[eo:ee],
                             old[dest_local],
@@ -589,23 +597,6 @@ class CuShaEngine(Engine):
                         if mdr is not None:
                             mdr.note_updated(wave_shards)
                         st4_row += st4_mat[wave_shards].sum(axis=0)
-                        # Wave-boundary write-back, batched over the wave's
-                        # updated shards (mapper slots are disjoint).
-                        if wave_shards.size == b - a:
-                            psl = slice(
-                                int(cw.cw_offsets[a]), int(cw.cw_offsets[b])
-                            )
-                            src_value[cw.mapper[psl]] = vertex_values[
-                                cw.cw_src_index[psl]
-                            ]
-                        else:
-                            pos = multi_arange(
-                                cw.cw_offsets[wave_shards],
-                                cw.cw_offsets[wave_shards + 1],
-                            )
-                            src_value[cw.mapper[pos]] = vertex_values[
-                                cw.cw_src_index[pos]
-                            ]
                     if frontier_on and idx is not None:
                         # Wave-boundary frontier marking: the updaters' own
                         # shards plus everything they influence (visible to

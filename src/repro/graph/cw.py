@@ -11,9 +11,9 @@ Pulling ``SrcIndex`` away from ``SrcValue`` breaks the positional
 association, so a ``Mapper`` array records, for every ``CW`` slot, the entry
 position (in the flat shard storage) holding the matching ``SrcValue``.
 
-Construction is a single stable sort of entry positions by
-``(source shard, destination shard)``; positions inside each window are
-already consecutive, so the concatenation order matches the paper's
+Construction is a single stable sort of entry positions by source shard:
+entries are already stored in destination-shard order and positions inside
+each window are consecutive, so the concatenation order matches the paper's
 definition exactly.
 """
 
@@ -55,12 +55,10 @@ class ConcatenatedWindows:
         N = shards.vertices_per_shard
 
         src_shard = shards.src_index.astype(np.int64) // N
-        dst_shard = np.repeat(
-            np.arange(S, dtype=np.int64), np.diff(shards.shard_offsets)
-        )
-        # Stable sort keeps window-internal (already consecutive) positions
-        # in order, so this is exactly "concatenate W_ij ordered by j".
-        order = np.lexsort((dst_shard, src_shard))
+        # Entries are stored in destination-shard order, and window-internal
+        # positions are consecutive, so a stable sort by source shard alone
+        # is exactly "concatenate W_ij ordered by j".
+        order = np.argsort(src_shard, kind="stable")
         self.mapper = order.astype(np.int64)
         self.cw_src_index = shards.src_index[order].astype(INDEX_DTYPE)
         counts = np.bincount(src_shard, minlength=S)

@@ -75,8 +75,18 @@ class GShards:
 
         shard_of_dst = graph.dst.astype(np.int64) // N
         # Sort edge ids by (destination shard, source index, destination
-        # index); the last key is only a determinism tie-break.
-        order = np.lexsort((graph.dst, graph.src, shard_of_dst))
+        # index); the last key is only a determinism tie-break.  The three
+        # keys pack into one int64, (shard*n + src)*N + (dst - shard*N),
+        # written below as (shard*(n-1) + src)*N + dst; it stays below
+        # n*(n+N), so it cannot overflow for int32 vertex ids.  A stable
+        # argsort of it equals ``np.lexsort((dst, src, shard))``, ties in
+        # edge order, while sorting one array instead of three.
+        key = shard_of_dst * (n - 1)
+        key += graph.src
+        key *= N
+        key += graph.dst
+        order = np.argsort(key, kind="stable")
+        del key
 
         self.graph = graph
         self.vertices_per_shard = N

@@ -185,6 +185,8 @@ def apply_reductions(
     ``None`` when not tracked; tracking snapshots only the touched rows'
     message fields, so the reduction itself is unchanged either way.
     """
+    if mask is not None and mask.all():
+        mask = None  # e.g. PageRank: boolean-mask copies would be no-ops
     if mask is not None:
         dest_idx = dest_idx[mask]
     before: dict[str, np.ndarray] | None = None

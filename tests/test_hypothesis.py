@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) over the core structures and engines."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algorithms import make_program
 from repro.frameworks import CuShaEngine, VWCEngine
@@ -49,6 +49,55 @@ def test_cw_mapper_is_a_bijection_preserving_sources(g, N):
     assert np.array_equal(np.sort(cw.mapper), np.arange(g.num_edges))
     assert np.array_equal(cw.shards.src_index[cw.mapper], cw.cw_src_index)
     assert cw.cw_offsets[-1] == g.num_edges
+
+
+@st.composite
+def multigraphs(draw, max_vertices=40, max_edges=120):
+    """Graphs with duplicate edges and self-loops mixed in, in any order."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    if n == 0:
+        return DiGraph.empty(0)
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    pairs += [(v, v) for v in draw(st.lists(vertex, max_size=8))]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=20))
+    pairs = draw(st.permutations(pairs))
+    src = np.array([p[0] for p in pairs], np.int64)
+    dst = np.array([p[1] for p in pairs], np.int64)
+    return DiGraph(src, dst, n)
+
+
+_DUPS_AND_LOOPS = DiGraph(
+    np.array([3, 1, 3, 4, 1, 0, 4], np.int64),
+    np.array([0, 4, 0, 4, 4, 2, 4], np.int64),
+    5,
+)
+
+
+@given(multigraphs(), st.integers(1, 17))
+@example(DiGraph.empty(0), 4)
+@example(_DUPS_AND_LOOPS, 3)  # 5 % 3 != 0: a short last shard
+@settings(max_examples=80, deadline=None)
+def test_gshards_order_is_the_lexsort_definition(g, N):
+    # Edge ids sorted by (destination shard, source, destination), ties in
+    # edge order: the stable three-key lexsort the layout is defined by.
+    expected = np.lexsort((g.dst, g.src, g.dst.astype(np.int64) // N))
+    assert np.array_equal(GShards(g, N).edge_positions, expected)
+
+
+@given(multigraphs(), st.integers(1, 17))
+@example(DiGraph.empty(0), 4)
+@example(_DUPS_AND_LOOPS, 3)
+@settings(max_examples=80, deadline=None)
+def test_cw_mapper_is_the_lexsort_definition(g, N):
+    cw = ConcatenatedWindows.from_graph(g, N)
+    sh = cw.shards
+    dst_shard = np.repeat(
+        np.arange(sh.num_shards, dtype=np.int64), np.diff(sh.shard_offsets)
+    )
+    src_shard = sh.src_index.astype(np.int64) // N
+    assert np.array_equal(cw.mapper, np.lexsort((dst_shard, src_shard)))
 
 
 @given(small_graphs())

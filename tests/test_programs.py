@@ -105,6 +105,70 @@ def test_struct_sizes_match_table3(name):
         assert p.edge_value_bytes == 4
 
 
+def _fold(program, local, dest_idx, msgs, mask):
+    local = local.copy()
+    ops, changed = apply_reductions(
+        program, local, dest_idx, msgs, mask, track_changed=True
+    )
+    return local.tobytes(), ops, changed.tobytes()
+
+
+_MASK_CASES = [("pr", 0), ("pr", 3), ("sssp", 1), ("cs", 2), ("subarray", 0)]
+
+
+def _mask_case_inputs(name, seed):
+    """``(program, local, dest_idx, msgs)``: one gather round of a bundled
+    program, or (``"subarray"``) random ``(edges, K)`` multi-source
+    messages into the 2-D field of a :class:`MultiSourceTraversal`."""
+    if name == "subarray":
+        from repro.service.batching import (TRAVERSAL_SPECS,
+                                            MultiSourceTraversal)
+
+        rng = np.random.default_rng(seed)
+        n, e, k = 24, 96, 4
+        program = MultiSourceTraversal(TRAVERSAL_SPECS["sssp"], tuple(range(k)))
+        local = np.zeros(n, dtype=program.vertex_dtype)
+        local["dist"][:] = UINT_INF
+        local["dist"][rng.integers(0, n, size=5)] = 7
+        msgs = {"dist": rng.integers(0, 20, size=(e, k)).astype(np.uint32)}
+        return program, local, rng.integers(0, n, size=e), msgs
+    graph = random_graph(seed)
+    program = make_program(name, graph)
+    values = program.initial_values(graph)
+    static = program.static_values(graph)
+    msgs, _ = program.messages(
+        values[graph.src],
+        None if static is None else static[graph.src],
+        program.edge_values(graph),
+        values[graph.dst],
+    )
+    return program, program.init_local(values), graph.dst.astype(np.int64), msgs
+
+
+class TestApplyReductionsMask:
+    """An all-true mask folds exactly like ``mask=None``, and a partial mask
+    exactly like ``mask=None`` over the pre-selected edges: same local
+    bytes, same atomic count, same changed set."""
+
+    @pytest.mark.parametrize("name,seed", _MASK_CASES)
+    def test_all_true_mask_is_no_mask(self, name, seed):
+        program, local, dest_idx, msgs = _mask_case_inputs(name, seed)
+        all_true = np.ones(len(dest_idx), dtype=bool)
+        assert _fold(program, local, dest_idx, msgs, all_true) == _fold(
+            program, local, dest_idx, msgs, None
+        )
+
+    @pytest.mark.parametrize("name,seed", _MASK_CASES)
+    def test_partial_mask_is_preselected_edges(self, name, seed):
+        program, local, dest_idx, msgs = _mask_case_inputs(name, seed)
+        mask = np.random.default_rng(seed).random(len(dest_idx)) < 0.6
+        assert not mask.all()
+        selected = {f: v[mask] for f, v in msgs.items()}
+        assert _fold(program, local, dest_idx, msgs, mask) == _fold(
+            program, local, dest_idx[mask], selected, None
+        )
+
+
 @pytest.mark.parametrize("name", PROGRAM_NAMES)
 def test_atomic_count_matches_reduced_fields(name):
     graph = random_graph(4)
