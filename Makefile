@@ -110,5 +110,5 @@ report:
 
 clean:
 	rm -rf .pytest_cache .ruff_cache .mypy_cache .hypothesis build dist src/*.egg-info
-	rm -f benchmarks/results/PERFGATE_report.json
+	rm -f benchmarks/results/PERFGATE_report.json tests/data/*.actual
 	find . -name __pycache__ -type d -exec rm -rf {} +
