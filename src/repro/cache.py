@@ -60,6 +60,8 @@ __all__ = [
     "graph_fingerprint",
     "default_cache",
     "resolve_cache",
+    "cached",
+    "counted",
 ]
 
 
@@ -217,3 +219,21 @@ def resolve_cache(cache) -> RepresentationCache | None:
         "cache must be None (default cache), False (disabled), or a "
         f"RepresentationCache; got {type(cache).__name__}"
     )
+
+
+def cached(cache: RepresentationCache | None, key: Hashable,
+           build: Callable[[], Any]) -> Any:
+    """``cache.get(key, build)``, or a plain ``build()`` when caching is
+    disabled (``cache is None``)."""
+    return build() if cache is None else cache.get(key, build)
+
+
+def counted(cache: RepresentationCache | None, lookups: Callable[[], Any]):
+    """``(lookups(), hits, misses)``: the result plus the hit and miss
+    deltas the lookups caused on ``cache`` (``0, 0`` without a cache)."""
+    if cache is None:
+        return lookups(), 0, 0
+    hits0, misses0 = cache.counters()
+    out = lookups()
+    hits1, misses1 = cache.counters()
+    return out, hits1 - hits0, misses1 - misses0

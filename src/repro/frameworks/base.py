@@ -52,10 +52,13 @@ class FaultHooks:
     deterministic, seed-driven points.
 
     The hook sites are the contract that keeps fault injection identical
-    across the ``fast`` and ``reference`` execution paths: engines call
-    hooks only at per-launch, per-transfer, and per-iteration boundaries —
-    never inside per-wave or per-shard inner loops — so both paths reach
-    exactly the same ``(engine, kind, site, iteration)`` fault sites.
+    across the ``fast`` and ``reference`` execution paths: hooks fire only
+    at per-launch, per-transfer, and per-iteration boundaries — never
+    inside per-wave or per-shard inner loops.  For the sharded engines the
+    contract is structural: every hook call sits in the one iteration
+    driver, :func:`repro.frameworks.sweep.run_sweeps`, which both paths run
+    through, so they reach exactly the same ``(engine, hook, iteration)``
+    sites (``tests/test_fault_sites.py`` records and compares them).
 
     Hooks:
 

@@ -170,6 +170,21 @@ class KernelStats:
     def copy(self) -> "KernelStats":
         return self + KernelStats()
 
+    def scaled(self, k: int) -> "KernelStats":
+        """A static per-iteration stat repeated over ``k`` iterations
+        (``kernel_launches`` is an execution artifact and stays 0)."""
+        return KernelStats(
+            self.load_transactions * k,
+            self.load_bytes_requested * k,
+            self.store_transactions * k,
+            self.store_bytes_requested * k,
+            self.active_lane_slots * k,
+            self.total_lane_slots * k,
+            self.warp_instructions * k,
+            self.shared_atomics * k,
+            self.global_atomics * k,
+        )
+
 
 #: Counter fields the static perf auditor can predict and compare.
 #: ``warp_instructions`` is deliberately excluded: instruction totals are

@@ -238,7 +238,6 @@ class MultiDeviceRun:
         self.last_exchange_ms = 0.0
         # Per-iteration scratch (reset by iteration_time).
         self._proc: list[np.ndarray] = []
-        self._dense = False
         self._upd: list[np.ndarray] = []
 
     # -- per-iteration notes -------------------------------------------
@@ -246,10 +245,6 @@ class MultiDeviceRun:
         """Units this iteration's sweep processed (frontier-gated paths)."""
         if len(units):
             self._proc.append(np.asarray(units, dtype=np.int64))
-
-    def note_all_processed(self) -> None:
-        """This iteration swept every unit (dense / frontier-off paths)."""
-        self._dense = True
 
     def note_updated(self, units: np.ndarray) -> None:
         """Units whose vertices updated (their remote slots exchange)."""
@@ -266,7 +261,7 @@ class MultiDeviceRun:
         exchange step (priced through :func:`transfer_ms`) runs after the
         barrier.  Consumes and clears the iteration's notes.
         """
-        if self._proc and not self._dense:
+        if self._proc:
             units = np.concatenate(self._proc)
             dev_w = np.bincount(
                 self._dev[units], weights=self._weights[units],
@@ -294,7 +289,6 @@ class MultiDeviceRun:
         self.last_exchange_ms = ex_ms
         self._proc.clear()
         self._upd.clear()
-        self._dense = False
         return float(per_dev.max()) + ex_ms
 
     # -- end of run -----------------------------------------------------
