@@ -31,18 +31,17 @@ checked contract, in three layers:
     toleranced for instruction costs (``P312``).  This is what catches a
     fast-path or pricing refactor that silently changes the model.
 
-**Benchmark comparator** (:func:`compare_bench_reports`)
-    Diff a fresh ``BENCH_perf_smoke.json`` against the committed baseline
-    with per-metric relative thresholds (``P320``) after verifying the
-    two runs are comparable at all — same graph, program, and per-engine
-    ``exec_path`` (``P321``).  The service-throughput gate holds the
-    batching contract (``P322``) and drifts ``BENCH_service.json``
-    against its baseline (``P323``); the frontier gate holds the
-    work-efficiency contract — sparse tail iterations must price at
-    least :data:`~repro.analysis.budgets.FRONTIER_MIN_MODEL_SAVINGS`
-    times fewer modeled warp instructions than the full sweep (``P324``)
-    — and drifts ``BENCH_frontier.json`` against its baseline
-    (``P325``).  ``python -m repro perfgate`` drives all of it.
+**Benchmark gates** (:data:`BENCHES`)
+    One :class:`BenchSpec` row per committed benchmark -- the perf
+    smoke and the service, frontier, ranges and placement benches --
+    names its bench module, report rows, match keys, exact and timing
+    metrics, contract floors and P-codes.  :func:`check_contract` holds
+    a fresh report to the row's absolute floors (``P322``, ``P324``,
+    ``P326``, ``P328``); :func:`compare` diffs it against the committed
+    baseline, refusing incomparable runs (``P321``) and failing changed
+    exact metrics or regressed timing minima under the row's regression
+    code (``P320``, ``P323``, ``P325``, ``P327``, ``P329``).
+    ``python -m repro perfgate`` drives all of it.
 
 CuSha stage predictions here intentionally mirror the *reference*
 per-shard pricing loop using only the simple (non-segmented) primitives;
@@ -52,7 +51,10 @@ segmented pricing helpers in :mod:`repro.frameworks.wavebatch` as well.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -85,15 +87,17 @@ __all__ = [
     "narrowed_audit",
     "perf_audit",
     "drift_gate",
+    "BenchSpec",
+    "BENCHES",
+    "load_bench_module",
+    "check_contract",
+    "compare",
+    "fold",
     "compare_bench_reports",
     "check_service_contract",
     "compare_service_reports",
     "check_frontier_contract",
     "compare_frontier_reports",
-    "check_ranges_contract",
-    "compare_ranges_reports",
-    "check_placement_contract",
-    "compare_placement_reports",
 ]
 
 
@@ -771,414 +775,206 @@ def drift_gate(
 
 
 # ----------------------------------------------------------------------
-# Benchmark comparator (P320 / P321)
+# Benchmark gates (P320-P329): one row per committed benchmark
 # ----------------------------------------------------------------------
 
-def compare_bench_reports(baseline: dict, current: dict) -> list[Violation]:
-    """Diff a fresh perf_smoke report against the committed baseline.
+BENCH_ROOT = Path(__file__).resolve().parents[3] / "benchmarks"
 
-    ``P321`` when the runs are not comparable (different graph, program,
-    engine set, or per-engine ``exec_path``); ``P320`` when an exact
-    metric changed or a timing metric regressed beyond its one-sided
-    relative threshold.  Improvements never fail.
+
+def load_bench_module(name: str):
+    """Import a ``benchmarks/<name>.py`` script in-process (the
+    benchmarks directory is not a package)."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        name, BENCH_ROOT / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@dataclass(frozen=True)
+class BenchSpec:
+    """One perfgate row: a committed benchmark and how its report is gated.
+
+    ``section`` names the report's one metric row; ``None`` means the
+    report carries one row per engine under ``engines`` (the perf
+    smoke).  ``match_keys`` (per report) and ``row_keys`` (per row) must
+    equal the baseline's for the reports to be comparable at all
+    (``P321``).  ``exact`` metrics must equal the baseline's and
+    ``timing`` minima must not regress beyond
+    :data:`~repro.analysis.budgets.PERFGATE_TIMING_THRESHOLD`, both
+    under ``code``.  ``floors`` is the absolute contract, checked with
+    no baseline under ``contract_code``: a floor of ``True`` needs the
+    value ``True``; a number needs a number at least that large (a list
+    counts its length).
     """
-    out: list[Violation] = []
-    for key in budgets.PERFGATE_MATCH_KEYS:
-        if baseline.get(key) != current.get(key):
-            out.append(Violation(
-                "P321",
-                f"run configuration '{key}' differs: baseline "
-                f"{baseline.get(key)!r} vs current {current.get(key)!r}",
-                subject="perfgate",
-            ))
-    bengines = baseline.get("engines", {})
-    cengines = current.get("engines", {})
-    if set(bengines) != set(cengines):
-        out.append(Violation(
-            "P321",
-            f"engine sets differ: baseline {sorted(bengines)} vs "
-            f"current {sorted(cengines)}",
-            subject="perfgate",
-        ))
-    thr = budgets.PERFGATE_TIMING_THRESHOLD
-    for ek in sorted(set(bengines) & set(cengines)):
-        b, c = bengines[ek], cengines[ek]
-        for pk in ("exec_path", "reference_exec_path"):
-            if b.get(pk) != c.get(pk):
+
+    name: str
+    module: str
+    section: str | None
+    match_keys: tuple[str, ...]
+    exact: tuple[str, ...]
+    timing: tuple[str, ...]
+    code: str
+    floors: tuple[tuple[str, float], ...] = ()
+    contract_code: str = ""
+    row_keys: tuple[str, ...] = ()
+
+    def rows(self, report: dict) -> dict:
+        if self.section is None:
+            return report.get("engines", {})
+        return {self.section: report.get(self.section, {})}
+
+    def run(self, repeats: int, echo=print) -> dict:
+        """Run the benchmark in-process and return its fresh report."""
+        return load_bench_module(self.module).run_bench(
+            repeats=repeats, echo=echo)
+
+
+BENCHES: tuple[BenchSpec, ...] = (
+    BenchSpec("perf_smoke", "bench_perf_smoke", None,
+              budgets.PERFGATE_MATCH_KEYS, budgets.PERFGATE_EXACT_METRICS,
+              budgets.PERFGATE_TIMING_METRICS, "P320",
+              row_keys=("exec_path", "reference_exec_path")),
+    BenchSpec("service", "bench_service", "service",
+              budgets.SERVICE_MATCH_KEYS, budgets.SERVICE_EXACT_METRICS,
+              budgets.SERVICE_TIMING_METRICS, "P323",
+              floors=(("model_speedup", budgets.SERVICE_MIN_BATCH_SPEEDUP),),
+              contract_code="P322"),
+    BenchSpec("frontier", "bench_frontier", "frontier",
+              budgets.FRONTIER_MATCH_KEYS, budgets.FRONTIER_EXACT_METRICS,
+              budgets.FRONTIER_TIMING_METRICS, "P325",
+              floors=(("bit_exact", True),
+                      ("tail_model_savings",
+                       budgets.FRONTIER_MIN_MODEL_SAVINGS),
+                      ("skip_fraction", budgets.FRONTIER_MIN_SKIP_FRACTION)),
+              contract_code="P324"),
+    BenchSpec("ranges", "bench_ranges", "ranges",
+              budgets.RANGES_MATCH_KEYS, budgets.RANGES_EXACT_METRICS, (),
+              "P327",
+              floors=(("bit_exact", True), ("narrowed_fields", 1),
+                      ("byte_reduction", budgets.RANGES_MIN_BYTE_REDUCTION)),
+              contract_code="P326"),
+    BenchSpec("placement", "bench_placement", "placement",
+              budgets.PLACEMENT_MATCH_KEYS, budgets.PLACEMENT_EXACT_METRICS,
+              budgets.PLACEMENT_TIMING_METRICS, "P329",
+              floors=(("bit_exact", True), ("exchange_bytes", 1),
+                      ("model_speedup", budgets.PLACEMENT_MIN_MODEL_SPEEDUP)),
+              contract_code="P328"),
+)
+_SPEC = {spec.name: spec for spec in BENCHES}
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
+def check_contract(spec: BenchSpec, report: dict) -> list[Violation]:
+    """Check a fresh report against ``spec``'s absolute floors.
+
+    The floored metrics are deterministic cost-model or equivalence
+    facts, so no baseline and no noise band are involved; a missing or
+    non-numeric input fails like one below its floor.
+    """
+    out = []
+    for row, metrics in spec.rows(report).items():
+        for mk, floor in spec.floors:
+            value = metrics.get(mk)
+            if floor is True:
+                ok = value is True
+            else:
+                n = len(value) if isinstance(value, list) else value
+                ok = _number(n) and n >= floor
+            if not ok:
                 out.append(Violation(
-                    "P321",
-                    f"{ek}: {pk} differs (baseline {b.get(pk)!r} vs "
-                    f"current {c.get(pk)!r}); refusing to compare "
-                    "timings across execution paths",
-                    subject="perfgate",
+                    spec.contract_code,
+                    f"{row}: {mk} is {value!r}, below the contract floor "
+                    f"{floor!r}",
+                    subject=spec.name,
                 ))
-        for mk in budgets.PERFGATE_EXACT_METRICS:
+    return out
+
+
+def compare(spec: BenchSpec, baseline: dict,
+            current: dict) -> tuple[list[Violation], list[Violation]]:
+    """Diff a fresh report against its committed baseline.
+
+    Returns ``(hard, timing)``.  ``hard`` holds ``P321`` when the runs
+    are not comparable (a match key, the row set or a row key differs,
+    or a timing metric is missing or non-numeric on either side) and
+    ``spec.code`` for every exact metric that changed.  ``timing`` holds
+    ``spec.code`` for every timing minimum that regressed beyond the
+    one-sided threshold -- the only verdict machine noise can produce.
+    Improvements never fail.
+    """
+    hard: list[Violation] = []
+    timing: list[Violation] = []
+
+    def flag(out, code, message):
+        out.append(Violation(code, message, subject=spec.name))
+
+    for key in spec.match_keys:
+        if baseline.get(key) != current.get(key):
+            flag(hard, "P321", f"run configuration '{key}' differs: "
+                 f"baseline {baseline.get(key)!r} vs current "
+                 f"{current.get(key)!r}")
+    brows, crows = spec.rows(baseline), spec.rows(current)
+    if set(brows) != set(crows):
+        flag(hard, "P321", f"rows differ: baseline {sorted(brows)} vs "
+             f"current {sorted(crows)}")
+    thr = budgets.PERFGATE_TIMING_THRESHOLD
+    for row in sorted(set(brows) & set(crows)):
+        b, c = brows[row], crows[row]
+        for key in spec.row_keys:
+            if b.get(key) != c.get(key):
+                flag(hard, "P321", f"{row}: {key} differs (baseline "
+                     f"{b.get(key)!r} vs current {c.get(key)!r}); refusing "
+                     "to compare timings across execution paths")
+        for mk in spec.exact:
             if b.get(mk) != c.get(mk):
-                out.append(Violation(
-                    "P320",
-                    f"{ek}: exact metric {mk} changed from {b.get(mk)!r} "
-                    f"to {c.get(mk)!r}",
-                    subject="perfgate",
-                ))
-        for mk in budgets.PERFGATE_TIMING_METRICS:
+                flag(hard, spec.code, f"{row}: exact metric {mk} changed "
+                     f"from {b.get(mk)!r} to {c.get(mk)!r}")
+        for mk in spec.timing:
             bv, cv = b.get(mk), c.get(mk)
-            if not isinstance(bv, (int, float)) or \
-                    not isinstance(cv, (int, float)) or bv <= 0:
-                continue
-            rel = (cv - bv) / bv
-            if rel > thr:
-                out.append(Violation(
-                    "P320",
-                    f"{ek}: {mk} regressed {rel:+.1%} "
-                    f"({bv:.4f}s -> {cv:.4f}s), threshold +{thr:.0%}",
-                    subject="perfgate",
-                ))
+            if not (_number(bv) and _number(cv)):
+                flag(hard, "P321", f"{row}: timing metric {mk} is not "
+                     f"comparable (baseline {bv!r} vs current {cv!r})")
+            elif bv > 0 and (cv - bv) / bv > thr:
+                flag(timing, spec.code, f"{row}: {mk} regressed "
+                     f"{(cv - bv) / bv:+.1%} ({bv:.4f}s -> {cv:.4f}s), "
+                     f"threshold +{thr:.0%}")
+    return hard, timing
+
+
+def fold(spec: BenchSpec, a: dict, b: dict, pick) -> dict:
+    """Fold report ``b`` into a copy of ``a`` with ``pick`` (``min`` or
+    ``max``) over every timing metric.  Exact metrics keep ``a``'s
+    values: a re-measurement must never launder a behavioural change.
+
+    Gate retries fold ``min`` (the fastest honestly observed run);
+    ``--rebaseline`` folds ``max``, so the committed baseline is a speed
+    reproducible across runs, not one lucky sample.
+    """
+    out = copy.deepcopy(a)
+    other = spec.rows(b)
+    for row, metrics in spec.rows(out).items():
+        for mk in spec.timing:
+            x, y = metrics.get(mk), other.get(row, {}).get(mk)
+            if _number(x) and _number(y):
+                metrics[mk] = pick(x, y)
     return out
 
 
-# ----------------------------------------------------------------------
-# Service throughput gate (P322 / P323)
-# ----------------------------------------------------------------------
-
-def check_service_contract(report: dict) -> list[Violation]:
-    """Check a fresh ``BENCH_service.json`` against the absolute contract.
-
-    ``P322`` when the batched-vs-sequential modeled throughput ratio
-    falls below :data:`~repro.analysis.budgets.SERVICE_MIN_BATCH_SPEEDUP`
-    (or is missing).  This needs no baseline: the ratio is computed from
-    deterministic cost-model output, so the floor is a property of the
-    checkout itself.
-    """
-    floor = budgets.SERVICE_MIN_BATCH_SPEEDUP
-    speedup = report.get("service", {}).get("model_speedup")
-    if not isinstance(speedup, (int, float)):
-        return [Violation(
-            "P322",
-            "BENCH_service.json carries no service.model_speedup; the "
-            "batching contract cannot be checked",
-            subject="service",
-        )]
-    if speedup < floor:
-        return [Violation(
-            "P322",
-            f"batched multi-source execution is only {speedup:.2f}x the "
-            f"sequential modeled throughput (contract floor {floor:.1f}x)",
-            subject="service",
-        )]
-    return []
+def _joined(spec: BenchSpec):
+    def compare_reports(baseline: dict, current: dict) -> list[Violation]:
+        hard, timing = compare(spec, baseline, current)
+        return hard + timing
+    return compare_reports
 
 
-def compare_service_reports(baseline: dict, current: dict) -> list[Violation]:
-    """Diff a fresh service report against the committed service baseline.
-
-    ``P321`` when the workloads are not comparable; ``P323`` when a
-    deterministic metric changed or a wall-clock metric regressed beyond
-    the one-sided threshold.  Improvements never fail.
-    """
-    out: list[Violation] = []
-    for key in budgets.SERVICE_MATCH_KEYS:
-        if baseline.get(key) != current.get(key):
-            out.append(Violation(
-                "P321",
-                f"service workload '{key}' differs: baseline "
-                f"{baseline.get(key)!r} vs current {current.get(key)!r}",
-                subject="service",
-            ))
-    b = baseline.get("service", {})
-    c = current.get("service", {})
-    for mk in budgets.SERVICE_EXACT_METRICS:
-        if b.get(mk) != c.get(mk):
-            out.append(Violation(
-                "P323",
-                f"service: exact metric {mk} changed from {b.get(mk)!r} "
-                f"to {c.get(mk)!r}",
-                subject="service",
-            ))
-    thr = budgets.PERFGATE_TIMING_THRESHOLD
-    for mk in budgets.SERVICE_TIMING_METRICS:
-        bv, cv = b.get(mk), c.get(mk)
-        if not isinstance(bv, (int, float)) or \
-                not isinstance(cv, (int, float)) or bv <= 0:
-            continue
-        rel = (cv - bv) / bv
-        if rel > thr:
-            out.append(Violation(
-                "P323",
-                f"service: {mk} regressed {rel:+.1%} "
-                f"({bv:.4f}s -> {cv:.4f}s), threshold +{thr:.0%}",
-                subject="service",
-            ))
-    return out
-
-
-# ----------------------------------------------------------------------
-# Frontier work-efficiency gate (P324 / P325)
-# ----------------------------------------------------------------------
-
-def check_frontier_contract(report: dict) -> list[Violation]:
-    """Check a fresh ``BENCH_frontier.json`` against the absolute contract.
-
-    ``P324`` when sparse execution's modeled warp instructions on the
-    road-network fixture's tail iterations are not at least
-    :data:`~repro.analysis.budgets.FRONTIER_MIN_MODEL_SAVINGS` times
-    cheaper than the full sweep's, when the run skips fewer than
-    :data:`~repro.analysis.budgets.FRONTIER_MIN_SKIP_FRACTION` of its
-    shard-sweeps, or when the bench could not certify sparse results
-    bit-identical to ``frontier="off"``.  All three are deterministic
-    cost-model / equivalence facts, so no baseline and no noise band
-    are involved.
-    """
-    row = report.get("frontier", {})
-    out: list[Violation] = []
-    if row.get("bit_exact") is not True:
-        out.append(Violation(
-            "P324",
-            "BENCH_frontier.json does not certify sparse results "
-            "bit-identical to the full sweep (bit_exact "
-            f"{row.get('bit_exact')!r})",
-            subject="frontier",
-        ))
-    savings = row.get("tail_model_savings")
-    floor = budgets.FRONTIER_MIN_MODEL_SAVINGS
-    if not isinstance(savings, (int, float)):
-        out.append(Violation(
-            "P324",
-            "BENCH_frontier.json carries no frontier.tail_model_savings; "
-            "the work-efficiency contract cannot be checked",
-            subject="frontier",
-        ))
-    elif savings < floor:
-        out.append(Violation(
-            "P324",
-            f"sparse tail iterations price only {savings:.2f}x fewer "
-            f"modeled warp instructions than the full sweep "
-            f"(contract floor {floor:.1f}x)",
-            subject="frontier",
-        ))
-    skip = row.get("skip_fraction")
-    skip_floor = budgets.FRONTIER_MIN_SKIP_FRACTION
-    if not isinstance(skip, (int, float)) or skip < skip_floor:
-        out.append(Violation(
-            "P324",
-            f"sparse run skipped {skip!r} of its shard-sweeps, below "
-            f"the contract floor {skip_floor:.0%}",
-            subject="frontier",
-        ))
-    return out
-
-
-def check_ranges_contract(report: dict) -> list[Violation]:
-    """Check a fresh ``BENCH_ranges.json`` against the absolute contract.
-
-    ``P326`` when the ``narrow="auto"`` run's total modeled load+store
-    bytes are not at least
-    :data:`~repro.analysis.budgets.RANGES_MIN_BYTE_REDUCTION` below the
-    ``narrow="off"`` run's, when no field actually narrowed, or when the
-    bench could not certify narrowed results bit-identical to the wide
-    run.  All three are deterministic cost-model / equivalence facts, so
-    no baseline and no noise band are involved.
-    """
-    row = report.get("ranges", {})
-    out: list[Violation] = []
-    if row.get("bit_exact") is not True:
-        out.append(Violation(
-            "P326",
-            "BENCH_ranges.json does not certify narrowed results "
-            f"bit-identical to narrow='off' (bit_exact "
-            f"{row.get('bit_exact')!r})",
-            subject="ranges",
-        ))
-    if not row.get("narrowed_fields"):
-        out.append(Violation(
-            "P326",
-            "BENCH_ranges.json reports no narrowed fields; the range "
-            "certificates proved no narrowing plan on the bench fixture",
-            subject="ranges",
-        ))
-    reduction = row.get("byte_reduction")
-    floor = budgets.RANGES_MIN_BYTE_REDUCTION
-    if not isinstance(reduction, (int, float)):
-        out.append(Violation(
-            "P326",
-            "BENCH_ranges.json carries no ranges.byte_reduction; the "
-            "narrowing contract cannot be checked",
-            subject="ranges",
-        ))
-    elif reduction < floor:
-        out.append(Violation(
-            "P326",
-            f"narrow='auto' reduced modeled bytes by only "
-            f"{reduction:.1%}, below the contract floor {floor:.0%}",
-            subject="ranges",
-        ))
-    return out
-
-
-def compare_ranges_reports(baseline: dict, current: dict) -> list[Violation]:
-    """Diff a fresh ranges report against the committed baseline.
-
-    ``P321`` when the workloads are not comparable; ``P327`` when a
-    deterministic narrowing metric changed.
-    """
-    out: list[Violation] = []
-    for key in budgets.RANGES_MATCH_KEYS:
-        if baseline.get(key) != current.get(key):
-            out.append(Violation(
-                "P321",
-                f"ranges workload '{key}' differs: baseline "
-                f"{baseline.get(key)!r} vs current {current.get(key)!r}",
-                subject="ranges",
-            ))
-    b = baseline.get("ranges", {})
-    c = current.get("ranges", {})
-    for mk in budgets.RANGES_EXACT_METRICS:
-        if b.get(mk) != c.get(mk):
-            out.append(Violation(
-                "P327",
-                f"ranges: exact metric {mk} changed from {b.get(mk)!r} "
-                f"to {c.get(mk)!r}",
-                subject="ranges",
-            ))
-    return out
-
-
-def compare_frontier_reports(baseline: dict, current: dict) -> list[Violation]:
-    """Diff a fresh frontier report against the committed baseline.
-
-    ``P321`` when the workloads are not comparable; ``P325`` when a
-    deterministic metric changed or a wall-clock metric regressed beyond
-    the one-sided threshold.  Improvements never fail.
-    """
-    out: list[Violation] = []
-    for key in budgets.FRONTIER_MATCH_KEYS:
-        if baseline.get(key) != current.get(key):
-            out.append(Violation(
-                "P321",
-                f"frontier workload '{key}' differs: baseline "
-                f"{baseline.get(key)!r} vs current {current.get(key)!r}",
-                subject="frontier",
-            ))
-    b = baseline.get("frontier", {})
-    c = current.get("frontier", {})
-    for mk in budgets.FRONTIER_EXACT_METRICS:
-        if b.get(mk) != c.get(mk):
-            out.append(Violation(
-                "P325",
-                f"frontier: exact metric {mk} changed from {b.get(mk)!r} "
-                f"to {c.get(mk)!r}",
-                subject="frontier",
-            ))
-    thr = budgets.PERFGATE_TIMING_THRESHOLD
-    for mk in budgets.FRONTIER_TIMING_METRICS:
-        bv, cv = b.get(mk), c.get(mk)
-        if not isinstance(bv, (int, float)) or \
-                not isinstance(cv, (int, float)) or bv <= 0:
-            continue
-        rel = (cv - bv) / bv
-        if rel > thr:
-            out.append(Violation(
-                "P325",
-                f"frontier: {mk} regressed {rel:+.1%} "
-                f"({bv:.4f}s -> {cv:.4f}s), threshold +{thr:.0%}",
-                subject="frontier",
-            ))
-    return out
-
-
-# ----------------------------------------------------------------------
-# Multi-device placement gate (P328 / P329)
-# ----------------------------------------------------------------------
-
-def check_placement_contract(report: dict) -> list[Violation]:
-    """Check a fresh ``BENCH_placement.json`` against the absolute contract.
-
-    ``P328`` when the bench could not certify the N-device run bit-exact
-    with single-device, when the per-iteration exchange-byte accounting
-    came back zero (no cross-device edge was ever charged), or when the
-    modeled multi-device speedup falls below
-    :data:`~repro.analysis.budgets.PLACEMENT_MIN_MODEL_SPEEDUP`.  All
-    three are deterministic cost-model / equivalence facts, so no
-    baseline and no noise band are involved.
-    """
-    row = report.get("placement", {})
-    out: list[Violation] = []
-    if row.get("bit_exact") is not True:
-        out.append(Violation(
-            "P328",
-            "BENCH_placement.json does not certify the multi-device run "
-            f"bit-identical to single-device (bit_exact "
-            f"{row.get('bit_exact')!r})",
-            subject="placement",
-        ))
-    exchange = row.get("exchange_bytes")
-    if not isinstance(exchange, int) or exchange <= 0:
-        out.append(Violation(
-            "P328",
-            f"BENCH_placement.json charged {exchange!r} exchange bytes; "
-            "a multi-device run over a connected fixture must price a "
-            "nonzero bulk-synchronous value exchange",
-            subject="placement",
-        ))
-    speedup = row.get("model_speedup")
-    floor = budgets.PLACEMENT_MIN_MODEL_SPEEDUP
-    if not isinstance(speedup, (int, float)):
-        out.append(Violation(
-            "P328",
-            "BENCH_placement.json carries no placement.model_speedup; "
-            "the placement contract cannot be checked",
-            subject="placement",
-        ))
-    elif speedup < floor:
-        out.append(Violation(
-            "P328",
-            f"multi-device execution models only {speedup:.2f}x the "
-            f"single-device time (contract floor {floor:.1f}x)",
-            subject="placement",
-        ))
-    return out
-
-
-def compare_placement_reports(
-    baseline: dict, current: dict
-) -> list[Violation]:
-    """Diff a fresh placement report against the committed baseline.
-
-    ``P321`` when the workloads are not comparable; ``P329`` when a
-    deterministic metric (exchange-byte accounting, modeled times)
-    changed or a wall-clock metric regressed beyond the one-sided
-    threshold.  Improvements never fail.
-    """
-    out: list[Violation] = []
-    for key in budgets.PLACEMENT_MATCH_KEYS:
-        if baseline.get(key) != current.get(key):
-            out.append(Violation(
-                "P321",
-                f"placement workload '{key}' differs: baseline "
-                f"{baseline.get(key)!r} vs current {current.get(key)!r}",
-                subject="placement",
-            ))
-    b = baseline.get("placement", {})
-    c = current.get("placement", {})
-    for mk in budgets.PLACEMENT_EXACT_METRICS:
-        if b.get(mk) != c.get(mk):
-            out.append(Violation(
-                "P329",
-                f"placement: exact metric {mk} changed from {b.get(mk)!r} "
-                f"to {c.get(mk)!r}",
-                subject="placement",
-            ))
-    thr = budgets.PERFGATE_TIMING_THRESHOLD
-    for mk in budgets.PLACEMENT_TIMING_METRICS:
-        bv, cv = b.get(mk), c.get(mk)
-        if not isinstance(bv, (int, float)) or \
-                not isinstance(cv, (int, float)) or bv <= 0:
-            continue
-        rel = (cv - bv) / bv
-        if rel > thr:
-            out.append(Violation(
-                "P329",
-                f"placement: {mk} regressed {rel:+.1%} "
-                f"({bv:.4f}s -> {cv:.4f}s), threshold +{thr:.0%}",
-                subject="placement",
-            ))
-    return out
+compare_bench_reports = _joined(_SPEC["perf_smoke"])
+check_service_contract = partial(check_contract, _SPEC["service"])
+compare_service_reports = _joined(_SPEC["service"])
+check_frontier_contract = partial(check_contract, _SPEC["frontier"])
+compare_frontier_reports = _joined(_SPEC["frontier"])

@@ -27,18 +27,14 @@ Commands
 ``perfgate``
     Run the :mod:`repro.analysis.perf` performance gate: the cost-contract
     check, the static audit plus model-vs-measured drift gate over the
-    gate engines, the benchmark regression diff of a fresh (or
-    ``--current``) perf-smoke report against the committed baseline, and
-    the service-layer throughput gate (batching contract ``P322`` plus the
-    ``BENCH_service.json`` diff against its own baseline, ``P323``), and
-    the frontier work-efficiency gate (sparse-sweep contract ``P324`` plus
-    the ``BENCH_frontier.json`` diff against its baseline, ``P325``), and
-    the dtype-narrowing traffic gate (byte-reduction contract ``P326``
-    plus the ``BENCH_ranges.json`` diff against its baseline, ``P327``),
-    and the multi-device placement gate (exchange-accounting /
-    modeled-speedup contract ``P328`` plus the ``BENCH_placement.json``
-    diff against its baseline, ``P329``).
-    Writes a machine-readable report next to the benchmark results.
+    gate engines, then one pass per row of the benchmark table
+    (:data:`repro.analysis.perf.BENCHES`: perf smoke, service, frontier,
+    ranges, placement) -- run the bench live (or gate ``--current`` for
+    the perf smoke), check the row's absolute contract, diff it against
+    its committed baseline with timing-only failures re-measured, and
+    write ``benchmarks/results/BENCH_<row>.json``.  ``--rebaseline``
+    rewrites the baselines instead of diffing.  Writes a
+    machine-readable report next to the benchmark results.
 
 ``chaos``
     Sweep a deterministic :mod:`repro.resilience` fault campaign — every
@@ -212,12 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument(
         "--baseline", default="benchmarks/baselines/perf_smoke.json",
-        help="committed baseline report to diff against",
+        help="committed perf-smoke baseline to diff against (every other "
+        "row uses benchmarks/baselines/<row>.json)",
     )
     perf.add_argument(
         "--current", default=None,
         help="gate an existing perf-smoke JSON instead of running the "
-        "benchmark fresh",
+        "benchmarks fresh (the other rows are skipped)",
     )
     perf.add_argument("--repeats", type=int, default=1,
                       help="benchmark samples per configuration")
@@ -231,38 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument(
         "--rebaseline", action="store_true",
-        help="write the fresh benchmark report to --baseline and skip "
+        help="write each fresh benchmark report to its baseline and skip "
         "the regression comparison",
     )
     perf.add_argument("--skip-drift", action="store_true",
                       help="skip the static audit + drift layer")
     perf.add_argument("--skip-bench", action="store_true",
-                      help="skip the benchmark layer (static + drift only)")
-    perf.add_argument(
-        "--service-baseline", default="benchmarks/baselines/service.json",
-        help="committed service-throughput baseline to diff against",
-    )
-    perf.add_argument("--skip-service", action="store_true",
-                      help="skip the service-layer throughput gate")
-    perf.add_argument(
-        "--frontier-baseline", default="benchmarks/baselines/frontier.json",
-        help="committed frontier work-efficiency baseline to diff against",
-    )
-    perf.add_argument("--skip-frontier", action="store_true",
-                      help="skip the frontier work-efficiency gate")
-    perf.add_argument(
-        "--ranges-baseline", default="benchmarks/baselines/ranges.json",
-        help="committed narrowing-traffic baseline to diff against",
-    )
-    perf.add_argument("--skip-ranges", action="store_true",
-                      help="skip the dtype-narrowing traffic gate")
-    perf.add_argument(
-        "--placement-baseline",
-        default="benchmarks/baselines/placement.json",
-        help="committed multi-device placement baseline to diff against",
-    )
-    perf.add_argument("--skip-placement", action="store_true",
-                      help="skip the multi-device placement gate")
+                      help="skip every benchmark row (static + drift only)")
 
     serve = sub.add_parser(
         "serve",
@@ -780,106 +752,17 @@ _PERFGATE_RMAT = (512, 4096)
 _PERFGATE_PROGRAM = "pr"
 
 
-def _load_bench_module(name: str = "bench_perf_smoke"):
-    """Import a ``benchmarks/<name>.py`` script in-process (the
-    benchmarks directory is not a package)."""
-    import importlib.util
+def _write_json(path: pathlib.Path, payload: dict) -> None:
+    import json
 
-    path = (pathlib.Path(__file__).resolve().parents[2]
-            / "benchmarks" / f"{name}.py")
-    spec = importlib.util.spec_from_file_location(name, path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def _timing_only(violations, code="P320", metrics=None) -> bool:
-    """True when every benchmark violation is a thresholded timing
-    regression (the only kind machine noise can produce)."""
-    from repro.analysis import budgets
-
-    if metrics is None:
-        metrics = budgets.PERFGATE_TIMING_METRICS
-    return all(
-        v.code == code and any(m in v.message for m in metrics)
-        for v in violations
-    )
-
-
-def _merge_bench(a: dict, b: dict, fold) -> dict:
-    """Fold report ``b`` into ``a`` with ``fold`` (``min``/``max``) over
-    every gated timing metric.  Exact metrics keep ``a``'s values — a
-    re-measurement must never launder a behavioural change.
-
-    The gate retries fold with ``min`` (the fastest honestly observed
-    run); ``--rebaseline`` folds with ``max`` so the committed baseline
-    is a speed *reproducible* across runs, not one lucky sample."""
-    import copy
-
-    from repro.analysis import budgets
-
-    out = copy.deepcopy(a)
-    for ek, row in out.get("engines", {}).items():
-        other = b.get("engines", {}).get(ek, {})
-        for mk in budgets.PERFGATE_TIMING_METRICS:
-            x, y = row.get(mk), other.get(mk)
-            if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-                row[mk] = fold(x, y)
-    return out
-
-
-def _merge_section(a: dict, b: dict, fold, section: str,
-                   metrics: tuple) -> dict:
-    """Single-section analog of :func:`_merge_bench`: fold the section's
-    wall-clock minima, keep deterministic metrics from ``a``."""
-    import copy
-
-    out = copy.deepcopy(a)
-    row = out.get(section, {})
-    other = b.get(section, {})
-    for mk in metrics:
-        x, y = row.get(mk), other.get(mk)
-        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-            row[mk] = fold(x, y)
-    return out
-
-
-def _merge_service(a: dict, b: dict, fold) -> dict:
-    from repro.analysis import budgets
-
-    return _merge_section(a, b, fold, "service",
-                          budgets.SERVICE_TIMING_METRICS)
-
-
-def _merge_frontier(a: dict, b: dict, fold) -> dict:
-    from repro.analysis import budgets
-
-    return _merge_section(a, b, fold, "frontier",
-                          budgets.FRONTIER_TIMING_METRICS)
-
-
-def _merge_placement(a: dict, b: dict, fold) -> dict:
-    from repro.analysis import budgets
-
-    return _merge_section(a, b, fold, "placement",
-                          budgets.PLACEMENT_TIMING_METRICS)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _cmd_perfgate(args) -> int:
     import json
 
-    from repro.analysis.perf import (check_frontier_contract,
-                                     check_placement_contract,
-                                     check_ranges_contract,
-                                     check_service_contract,
-                                     compare_bench_reports,
-                                     compare_frontier_reports,
-                                     compare_placement_reports,
-                                     compare_ranges_reports,
-                                     compare_service_reports,
-                                     cost_contract_check, drift_gate,
-                                     perf_audit)
-    from repro.frameworks import make_engine
+    from repro.analysis import perf
     from repro.telemetry.tracer import Tracer
 
     as_json = args.format == "json"
@@ -890,7 +773,7 @@ def _cmd_perfgate(args) -> int:
 
     # Layers 1-2: cost contract, static audit, and the model-vs-measured
     # drift gate over a fixed small R-MAT for every gate engine.
-    violations += cost_contract_check()
+    violations += perf.cost_contract_check()
     if not args.skip_drift:
         v, e = _PERFGATE_RMAT
         graph = generators.random_weights(
@@ -898,256 +781,73 @@ def _cmd_perfgate(args) -> int:
         for key in _PERFGATE_ENGINES:
             engine = _make_engine(key, None)
             program = make_program(_PERFGATE_PROGRAM, graph)
-            violations += perf_audit(engine, graph, program)
-            rep = drift_gate(engine, graph, program,
-                             max_iterations=12, metrics=tracer.metrics)
+            violations += perf.perf_audit(engine, graph, program)
+            rep = perf.drift_gate(engine, graph, program,
+                                  max_iterations=12, metrics=tracer.metrics)
             drift_rows.append(rep)
             violations += rep.violations
             echo(f"drift   : {key:14s} {rep.stages_checked} stages, "
                  f"{rep.fields_checked} fields over {rep.iterations} "
                  f"iterations -> {'OK' if rep.ok else 'DRIFT'}")
 
-    # Layer 3: benchmark regression diff against the committed baseline.
-    baseline_path = pathlib.Path(args.baseline)
-    current = None
-    compared = False
-    if not args.skip_bench:
-        if args.current:
-            current = json.loads(pathlib.Path(args.current).read_text())
-            echo(f"bench   : gating existing report {args.current}")
+    # Layer 3: every benchmark row -- its absolute contract, then the
+    # diff against its committed baseline.  ``--current`` gates an
+    # existing perf-smoke report instead of running anything live.
+    benches = {}
+    for spec in () if args.skip_bench else perf.BENCHES:
+        smoke = spec.name == "perf_smoke"
+        if args.current and not smoke:
+            continue
+        live = not args.current
+        baseline_path = pathlib.Path(
+            args.baseline if smoke
+            else f"benchmarks/baselines/{spec.name}.json")
+        if live:
+            echo(f"{spec.name}: running ({args.repeats} repeat(s))")
+            current = spec.run(args.repeats, echo=echo)
         else:
-            bench = _load_bench_module()
-            echo(f"bench   : running perf smoke ({args.repeats} repeat(s))")
-            current = bench.run_bench(repeats=args.repeats, echo=echo)
+            echo(f"{spec.name}: gating existing report {args.current}")
+            current = json.loads(pathlib.Path(args.current).read_text())
+        violations += perf.check_contract(spec, current)
+        compared = False
         if args.rebaseline:
-            if not args.current:
-                echo("rebase  : re-measuring for a reproducible baseline")
-                again = bench.run_bench(repeats=args.repeats, echo=echo)
-                current = _merge_bench(current, again, max)
-            baseline_path.parent.mkdir(parents=True, exist_ok=True)
-            baseline_path.write_text(
-                json.dumps(current, indent=2) + "\n", encoding="utf-8")
+            if live and spec.timing:
+                echo(f"{spec.name}: re-measuring for a reproducible "
+                     "baseline")
+                current = perf.fold(spec, current,
+                                    spec.run(args.repeats, echo=echo), max)
+            _write_json(baseline_path, current)
             echo(f"rebase  : wrote {baseline_path}")
         elif not baseline_path.exists():
-            print(f"perfgate: baseline {baseline_path} missing "
+            print(f"perfgate: {spec.name} baseline {baseline_path} missing "
                   "(run `make perfgate-rebaseline`)", file=sys.stderr)
             return 2
         else:
             baseline = json.loads(baseline_path.read_text())
-            bench_v = compare_bench_reports(baseline, current)
-            # A purely timing-sided failure from a *live* run may be
-            # machine noise: re-measure and fold in the per-metric
-            # minima before believing it.  Gating an existing --current
-            # file never retries, so injected slowdowns in a committed
-            # report fail deterministically.
-            retries = 0 if args.current else 2
-            attempt = 0
-            while attempt < retries and bench_v and _timing_only(bench_v):
-                attempt += 1
-                echo("bench   : timing regression — re-measuring to "
+            hard, timing = perf.compare(spec, baseline, current)
+            # A purely timing-sided failure from a live run may be
+            # machine noise: re-measure with escalating sample counts
+            # and fold in the per-metric minima before believing it.  A
+            # genuine slowdown survives any sample count; an existing
+            # ``--current`` report is never retried, so injected
+            # slowdowns in it fail deterministically.
+            for scale in (2, 3) if live else ():
+                if hard or not timing:
+                    break
+                echo(f"{spec.name}: timing regression -- re-measuring to "
                      "rule out machine noise")
-                # Escalating sample counts tighten honest minima under
-                # load; a genuine slowdown survives any sample count.
-                again = bench.run_bench(
-                    repeats=args.repeats * (attempt + 1), echo=echo)
-                current = _merge_bench(current, again, min)
-                bench_v = compare_bench_reports(baseline, current)
-            violations += bench_v
+                again = spec.run(args.repeats * scale, echo=echo)
+                current = perf.fold(spec, current, again, min)
+                hard, timing = perf.compare(spec, baseline, current)
+            violations += hard + timing
             compared = True
-
-    # Layer 4: service-throughput gate — the absolute batching contract
-    # (P322) plus the regression diff against the service baseline (P323).
-    # ``--current`` gates a pre-recorded perf-smoke file without running
-    # anything live, so the (live-only) service bench is skipped with it.
-    service_baseline_path = pathlib.Path(args.service_baseline)
-    service_current = None
-    service_compared = False
-    if not args.skip_service and args.current is None:
-        from repro.analysis import budgets
-
-        sbench = _load_bench_module("bench_service")
-        echo(f"service : running throughput bench ({args.repeats} repeat(s))")
-        service_current = sbench.run_bench(repeats=args.repeats, echo=echo)
-        violations += check_service_contract(service_current)
-        if args.rebaseline:
-            echo("rebase  : re-measuring service bench for a reproducible "
-                 "baseline")
-            again = sbench.run_bench(repeats=args.repeats, echo=echo)
-            service_current = _merge_service(service_current, again, max)
-            service_baseline_path.parent.mkdir(parents=True, exist_ok=True)
-            service_baseline_path.write_text(
-                json.dumps(service_current, indent=2) + "\n",
-                encoding="utf-8")
-            echo(f"rebase  : wrote {service_baseline_path}")
-        elif not service_baseline_path.exists():
-            print(f"perfgate: service baseline {service_baseline_path} "
-                  "missing (run `make perfgate-rebaseline`)",
-                  file=sys.stderr)
-            return 2
-        else:
-            sbaseline = json.loads(service_baseline_path.read_text())
-            service_v = compare_service_reports(sbaseline, service_current)
-            attempt = 0
-            while attempt < 2 and service_v and _timing_only(
-                    service_v, "P323", budgets.SERVICE_TIMING_METRICS):
-                attempt += 1
-                echo("service : timing regression — re-measuring to rule "
-                     "out machine noise")
-                again = sbench.run_bench(
-                    repeats=args.repeats * (attempt + 1), echo=echo)
-                service_current = _merge_service(
-                    service_current, again, min)
-                service_v = compare_service_reports(
-                    sbaseline, service_current)
-            violations += service_v
-            service_compared = True
-        # The gated numbers double as the current BENCH artifact.
-        sbench_out = sbench.RESULTS / "BENCH_service.json"
-        sbench_out.parent.mkdir(parents=True, exist_ok=True)
-        sbench_out.write_text(
-            json.dumps(service_current, indent=2) + "\n", encoding="utf-8")
-
-    # Layer 5: frontier work-efficiency gate — the absolute sparse-sweep
-    # contract (P324) plus the regression diff against the frontier
-    # baseline (P325).  Like the service gate, it only runs live, so
-    # ``--current`` skips it.
-    frontier_baseline_path = pathlib.Path(args.frontier_baseline)
-    frontier_current = None
-    frontier_compared = False
-    if not args.skip_frontier and args.current is None:
-        from repro.analysis import budgets
-
-        fbench = _load_bench_module("bench_frontier")
-        echo(f"frontier: running work-efficiency bench "
-             f"({args.repeats} repeat(s))")
-        frontier_current = fbench.run_bench(repeats=args.repeats, echo=echo)
-        violations += check_frontier_contract(frontier_current)
-        if args.rebaseline:
-            echo("rebase  : re-measuring frontier bench for a "
-                 "reproducible baseline")
-            again = fbench.run_bench(repeats=args.repeats, echo=echo)
-            frontier_current = _merge_frontier(frontier_current, again, max)
-            frontier_baseline_path.parent.mkdir(parents=True, exist_ok=True)
-            frontier_baseline_path.write_text(
-                json.dumps(frontier_current, indent=2) + "\n",
-                encoding="utf-8")
-            echo(f"rebase  : wrote {frontier_baseline_path}")
-        elif not frontier_baseline_path.exists():
-            print(f"perfgate: frontier baseline {frontier_baseline_path} "
-                  "missing (run `make perfgate-rebaseline`)",
-                  file=sys.stderr)
-            return 2
-        else:
-            fbaseline = json.loads(frontier_baseline_path.read_text())
-            frontier_v = compare_frontier_reports(
-                fbaseline, frontier_current)
-            attempt = 0
-            while attempt < 2 and frontier_v and _timing_only(
-                    frontier_v, "P325", budgets.FRONTIER_TIMING_METRICS):
-                attempt += 1
-                echo("frontier: timing regression — re-measuring to rule "
-                     "out machine noise")
-                again = fbench.run_bench(
-                    repeats=args.repeats * (attempt + 1), echo=echo)
-                frontier_current = _merge_frontier(
-                    frontier_current, again, min)
-                frontier_v = compare_frontier_reports(
-                    fbaseline, frontier_current)
-            violations += frontier_v
-            frontier_compared = True
-        fbench_out = fbench.RESULTS / "BENCH_frontier.json"
-        fbench_out.parent.mkdir(parents=True, exist_ok=True)
-        fbench_out.write_text(
-            json.dumps(frontier_current, indent=2) + "\n", encoding="utf-8")
-
-    # Layer 6: dtype-narrowing traffic gate — the absolute byte-reduction
-    # contract (P326) plus the diff against the ranges baseline (P327).
-    # Every metric is deterministic cost-model output, so there is no
-    # timing-retry loop: any mismatch is behavioural.  Like the other
-    # live-only layers, ``--current`` skips it.
-    ranges_baseline_path = pathlib.Path(args.ranges_baseline)
-    ranges_current = None
-    ranges_compared = False
-    if not args.skip_ranges and args.current is None:
-        wbench = _load_bench_module("bench_ranges")
-        echo("ranges  : running narrowing-traffic bench")
-        ranges_current = wbench.run_bench(repeats=args.repeats, echo=echo)
-        violations += check_ranges_contract(ranges_current)
-        if args.rebaseline:
-            ranges_baseline_path.parent.mkdir(parents=True, exist_ok=True)
-            ranges_baseline_path.write_text(
-                json.dumps(ranges_current, indent=2) + "\n",
-                encoding="utf-8")
-            echo(f"rebase  : wrote {ranges_baseline_path}")
-        elif not ranges_baseline_path.exists():
-            print(f"perfgate: ranges baseline {ranges_baseline_path} "
-                  "missing (run `make perfgate-rebaseline`)",
-                  file=sys.stderr)
-            return 2
-        else:
-            wbaseline = json.loads(ranges_baseline_path.read_text())
-            violations += compare_ranges_reports(wbaseline, ranges_current)
-            ranges_compared = True
-        wbench_out = wbench.RESULTS / "BENCH_ranges.json"
-        wbench_out.parent.mkdir(parents=True, exist_ok=True)
-        wbench_out.write_text(
-            json.dumps(ranges_current, indent=2) + "\n", encoding="utf-8")
-
-    # Layer 7: multi-device placement gate — the absolute exchange /
-    # bit-exactness / modeled-speedup contract (P328) plus the diff
-    # against the placement baseline (P329).  Like the other live-only
-    # layers, ``--current`` skips it.
-    placement_baseline_path = pathlib.Path(args.placement_baseline)
-    placement_current = None
-    placement_compared = False
-    if not args.skip_placement and args.current is None:
-        from repro.analysis import budgets
-
-        pbench = _load_bench_module("bench_placement")
-        echo(f"placemnt: running multi-device bench "
-             f"({args.repeats} repeat(s))")
-        placement_current = pbench.run_bench(repeats=args.repeats, echo=echo)
-        violations += check_placement_contract(placement_current)
-        if args.rebaseline:
-            echo("rebase  : re-measuring placement bench for a "
-                 "reproducible baseline")
-            again = pbench.run_bench(repeats=args.repeats, echo=echo)
-            placement_current = _merge_placement(
-                placement_current, again, max)
-            placement_baseline_path.parent.mkdir(
-                parents=True, exist_ok=True)
-            placement_baseline_path.write_text(
-                json.dumps(placement_current, indent=2) + "\n",
-                encoding="utf-8")
-            echo(f"rebase  : wrote {placement_baseline_path}")
-        elif not placement_baseline_path.exists():
-            print(f"perfgate: placement baseline {placement_baseline_path} "
-                  "missing (run `make perfgate-rebaseline`)",
-                  file=sys.stderr)
-            return 2
-        else:
-            pbaseline = json.loads(placement_baseline_path.read_text())
-            placement_v = compare_placement_reports(
-                pbaseline, placement_current)
-            attempt = 0
-            while attempt < 2 and placement_v and _timing_only(
-                    placement_v, "P329", budgets.PLACEMENT_TIMING_METRICS):
-                attempt += 1
-                echo("placemnt: timing regression — re-measuring to rule "
-                     "out machine noise")
-                again = pbench.run_bench(
-                    repeats=args.repeats * (attempt + 1), echo=echo)
-                placement_current = _merge_placement(
-                    placement_current, again, min)
-                placement_v = compare_placement_reports(
-                    pbaseline, placement_current)
-            violations += placement_v
-            placement_compared = True
-        pbench_out = pbench.RESULTS / "BENCH_placement.json"
-        pbench_out.parent.mkdir(parents=True, exist_ok=True)
-        pbench_out.write_text(
-            json.dumps(placement_current, indent=2) + "\n",
-            encoding="utf-8")
+        if live:
+            _write_json(pathlib.Path("benchmarks/results")
+                        / f"BENCH_{spec.name}.json", current)
+        benches[spec.name] = {
+            "baseline": str(baseline_path) if compared else None,
+            "report": current,
+        }
 
     errors = sum(v.severity == "error" for v in violations)
     warnings = sum(v.severity == "warning" for v in violations)
@@ -1164,27 +864,12 @@ def _cmd_perfgate(args) -> int:
              "fields_checked": r.fields_checked, "ok": r.ok}
             for r in drift_rows
         ],
-        "baseline": str(baseline_path) if compared else None,
-        "bench": current,
-        "service_baseline": (
-            str(service_baseline_path) if service_compared else None),
-        "service_bench": service_current,
-        "frontier_baseline": (
-            str(frontier_baseline_path) if frontier_compared else None),
-        "frontier_bench": frontier_current,
-        "ranges_baseline": (
-            str(ranges_baseline_path) if ranges_compared else None),
-        "ranges_bench": ranges_current,
-        "placement_baseline": (
-            str(placement_baseline_path) if placement_compared else None),
-        "placement_bench": placement_current,
+        "benches": benches,
         "metrics": {k: m for k, m in tracer.metrics.as_dict().items()
                     if k.startswith("analysis.perf.")},
     }
     report_path = pathlib.Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(json.dumps(report, indent=2) + "\n",
-                           encoding="utf-8")
+    _write_json(report_path, report)
     for v in violations:
         echo(f"  {v}")
     summary = f"{errors} error(s), {warnings} warning(s)"

@@ -22,32 +22,10 @@ import math
 from pathlib import Path
 
 from repro.analysis import budgets
-from repro.analysis.perf import (check_frontier_contract,
-                                 check_placement_contract,
-                                 check_ranges_contract,
-                                 check_service_contract,
-                                 compare_bench_reports,
-                                 compare_frontier_reports,
-                                 compare_placement_reports,
-                                 compare_ranges_reports,
-                                 compare_service_reports)
+from repro.analysis.perf import BENCHES, check_contract, compare
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
-
-
-def _no_contract(report):
-    return []
-
-
-# layer -> (contract check, comparator)
-GATES = {
-    "perf_smoke": (_no_contract, compare_bench_reports),
-    "service": (check_service_contract, compare_service_reports),
-    "frontier": (check_frontier_contract, compare_frontier_reports),
-    "ranges": (check_ranges_contract, compare_ranges_reports),
-    "placement": (check_placement_contract, compare_placement_reports),
-}
 
 # layer -> (match keys, exact metrics, timing metrics)
 KEYS = {
@@ -159,12 +137,14 @@ def cases(layer: str, baseline: dict):
 
 def render() -> str:
     lines = []
-    for layer, (contract, compare) in GATES.items():
+    for spec in BENCHES:
+        layer = spec.name
         baseline = json.loads(
             (ROOT / "benchmarks" / "baselines" / f"{layer}.json").read_text())
         for name, current in cases(layer, baseline):
+            hard, timing = compare(spec, baseline, current)
             codes = sorted(v.code for v in
-                           contract(current) + compare(baseline, current))
+                           check_contract(spec, current) + hard + timing)
             lines.append(f"{layer} | {name} | {' '.join(codes) or 'pass'}")
     return "\n".join(lines) + "\n"
 
