@@ -70,10 +70,10 @@ serve-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro serve --smoke
 
 # Performance gate: cost-contract + static audit + model-vs-measured drift
-# check, then re-run the perf smoke, service batching, frontier,
-# dtype-narrowing, and multi-device placement benchmarks and diff each
-# against its committed baseline
-# (benchmarks/baselines/{perf_smoke,service,frontier,ranges,placement}.json).
+# check, then one pass per row of repro.analysis.perf.BENCHES (perf smoke,
+# service batching, frontier, dtype narrowing, multi-device placement):
+# run the bench, check its contract floors, diff it against
+# benchmarks/baselines/<row>.json and write benchmarks/results/BENCH_<row>.json.
 # Writes the machine-readable report to benchmarks/results/PERFGATE_report.json.
 perfgate:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro perfgate --repeats 1
