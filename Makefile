@@ -98,12 +98,16 @@ perf-smoke:
 		benchmarks/bench_micro_kernels.py --benchmark-only
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_perf_smoke.py
 
-# CI smoke: trace a tiny R-MAT run end-to-end and validate the emitted
-# JSONL against the repro-trace schema (exits non-zero on any violation).
+# CI smoke: trace a tiny R-MAT run end-to-end on CuSha-CW and on streamed
+# CuSha and validate the emitted JSONL against the repro-trace schema
+# (exits non-zero on any violation).
 smoke-trace:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro trace \
 		--graph 1024x8192 --program sssp --engine cusha-cw \
 		--out /tmp/repro-smoke-trace.jsonl --format both --check
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro trace \
+		--graph 1024x8192 --program sssp --engine cusha-streamed \
+		--out /tmp/repro-smoke-trace-streamed.jsonl --format both --check
 
 report:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro experiments all

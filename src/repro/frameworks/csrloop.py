@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache import graph_fingerprint, resolve_cache
+from repro.cache import cached, graph_fingerprint, resolve_cache
 from repro.graph.csr import CSR
 from repro.graph.digraph import DiGraph
 from repro.vertexcentric.program import VertexProgram, apply_reductions
 
-__all__ = ["CSRProblem", "run_chunk", "iterate_chunks"]
+__all__ = ["CSRProblem", "cache_option", "preflight_csr", "run_chunk",
+           "iterate_chunks"]
 
 
 @dataclass
@@ -48,16 +49,12 @@ class CSRProblem:
         disables the memo.
         """
         resolved = resolve_cache(cache)
-        if resolved is not None:
-            fp = graph_fingerprint(graph)
-            csr = resolved.get(("csr", fp), lambda: CSR.from_graph(graph))
-            destinations = resolved.get(
-                ("csr-dest", fp),
-                lambda: csr.destinations().astype(np.int64),
-            )
-        else:
-            csr = CSR.from_graph(graph)
-            destinations = csr.destinations().astype(np.int64)
+        fp = None if resolved is None else graph_fingerprint(graph)
+        csr = cached(resolved, ("csr", fp), lambda: CSR.from_graph(graph))
+        destinations = cached(
+            resolved, ("csr-dest", fp),
+            lambda: csr.destinations().astype(np.int64),
+        )
         ev = program.edge_values(graph)
         return cls(
             csr=csr,
@@ -67,6 +64,21 @@ class CSRProblem:
             edge_values=None if ev is None else csr.gather_edge_values(ev),
             destinations=destinations,
         )
+
+
+def cache_option(engine, config):
+    """The ``cache`` option of one CSR-engine run: the engine's own, except
+    that the reference path never consults a cache, keeping the
+    equivalence baseline free of memoization."""
+    return False if config.exec_path == "reference" else engine.cache
+
+
+def preflight_csr(engine, graph: DiGraph, config) -> tuple:
+    """``(csr,)``: the CSR a CSR engine's run iterates, under the key
+    :meth:`CSRProblem.build` uses (``preflight_representations``)."""
+    cache = resolve_cache(cache_option(engine, config))
+    fp = None if cache is None else graph_fingerprint(graph)
+    return (cached(cache, ("csr", fp), lambda: CSR.from_graph(graph)),)
 
 
 def run_chunk(problem: CSRProblem, a: int, b: int) -> tuple[np.ndarray, int]:

@@ -46,12 +46,13 @@ stage 4 is priced per updated shard from ``bundle.stage4``.  Each shard
 exclusively owns its destination-vertex slice, so running ``messages`` /
 ``apply_reductions`` / ``apply`` once over a wave's concatenated entries
 is bit-identical to the per-shard loop (``ufunc.at`` applies updates in
-entry order, which the concatenation preserves).  Hardware pricing uses
-the segmented helpers so warp rows never span shard boundaries.
+entry order, which the concatenation preserves).  That kernel step
+(:func:`wave_kernel`) and the packed gather of a sparse frontier's active
+shards (:func:`pack_shards`) are written once here; the streamed engine
+runs the same step over its single whole-iteration wave.  Hardware pricing uses the
+segmented helpers so warp rows never span shard boundaries.
 ``"reference"`` keeps the per-shard loop, with the literal ``SrcValue``
 array and write-back, as the oracle the fast operator is gated against.
-The streamed engine is deliberately out of scope: its iteration-end flush
-leaves ``SrcValue`` stale mid-iteration, so it keeps its own copy.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from repro.gpu.sharedmem import conflict_replays
 from repro.gpu.warp import slots_for_contiguous, slots_for_segments
 from repro.vertexcentric.program import VertexProgram, apply_reductions
 
-__all__ = ["CuShaEngine"]
+__all__ = ["CuShaEngine", "entry_arrays", "pack_shards", "wave_kernel"]
 
 _STAGES = ("stage1-fetch", "stage2-compute", "stage3-update",
            "stage4-writeback")
@@ -120,6 +121,78 @@ def _window_rows_transactions(
 
 
 _EMPTY_SHARDS = np.empty(0, dtype=np.int64)
+
+
+# ----------------------------------------------------------------------
+# The batched wave kernel, shared with the streamed engine.  It lives in
+# this module because per-layer wall-time attribution (perfbench/layers.py)
+# wraps ``repro.frameworks.cusha:apply_reductions``.
+# ----------------------------------------------------------------------
+def entry_arrays(graph, program, sh) -> tuple:
+    """``(src_index, src_static, edge_vals)`` in shard-entry order: what
+    :func:`wave_kernel` gathers per entry.  ``SrcValue`` is never stored;
+    the kernel reads it as ``values[src_index]``."""
+    src_index = sh.src_index.astype(np.intp)
+    static_all = program.static_values(graph)
+    ev = program.edge_values(graph)
+    return (
+        src_index,
+        None if static_all is None else static_all[src_index],
+        None if ev is None else ev[sh.edge_positions],
+    )
+
+
+def pack_shards(
+    act: np.ndarray, N: int, n: int, shard_offsets: np.ndarray,
+    dest_global: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The frontier gather of the active shards ``act``: their vertex and
+    entry indices, the destinations rebased into the packed vertex space,
+    and the packed vertex offset of each shard (``act.size + 1``).  Every
+    shard owns its destination slice, so the packed subset is closed."""
+    v_lo = act * N
+    v_hi = np.minimum(v_lo + N, n)
+    e_lo = shard_offsets[act]
+    e_hi = shard_offsets[act + 1]
+    e_idx = multi_arange(e_lo, e_hi)
+    packed_off = np.zeros(act.size + 1, dtype=np.int64)
+    np.cumsum(v_hi - v_lo, out=packed_off[1:])
+    dest_sub = dest_global[e_idx] - np.repeat(
+        v_lo - packed_off[:-1], e_hi - e_lo
+    )
+    return multi_arange(v_lo, v_hi), e_idx, dest_sub, packed_off
+
+
+def wave_kernel(program, values: np.ndarray, entries: tuple, vsel, esel,
+                dest: np.ndarray, track: bool) -> tuple:
+    """One batched CuSha kernel over whole shards.
+
+    ``vsel`` selects the shards' vertices (a slice or packed indices),
+    ``esel`` their entries, and ``dest`` maps each entry to its row of the
+    selection.  Runs ``messages`` -> ``apply_reductions`` -> ``apply``
+    with ``SrcValue`` read as ``values[src_index]``, which is exact at a
+    wave start (the callers' wave-start invariant).  Because every shard
+    owns its destination slice and ``ufunc.at`` applies updates in entry
+    order, this equals the per-shard loop bit for bit.
+
+    Returns ``(ops, changed, mask, pos, new)``: the reduction ops, the
+    changed-row mask (``track`` only), the message mask, the updated rows
+    of the selection and their new values, which the caller stores.
+    """
+    src_index, src_static, edge_vals = entries
+    old = values[vsel]
+    local = program.init_local(old)
+    msgs, mask = program.messages(
+        values[src_index[esel]],
+        None if src_static is None else src_static[esel],
+        None if edge_vals is None else edge_vals[esel],
+        old[dest],
+    )
+    ops, changed = apply_reductions(
+        program, local, dest, msgs, mask, track_changed=track
+    )
+    final, upd = program.apply(local, old)
+    return ops, changed, mask, np.flatnonzero(upd), final[upd]
 
 
 class CuShaEngine(Engine):
@@ -305,13 +378,7 @@ class CuShaEngine(Engine):
 
         # ----- device arrays -------------------------------------------------
         vertex_values = config.initial_values(graph, program)
-        static_all = program.static_values(graph)
-        # Each wave reads SrcValue as vertex_values[src_index] (module
-        # docstring: the wave-start invariant).
-        src_index = sh.src_index.astype(np.intp)
-        src_static = None if static_all is None else static_all[src_index]
-        ev = program.edge_values(graph)
-        edge_vals = None if ev is None else ev[sh.edge_positions]
+        entries = entry_arrays(graph, program, sh)
 
         base1, base2, base3 = bundle.base1, bundle.base2, bundle.base3
         st1m, st2m, st3m = bundle.stage1, bundle.stage2, bundle.stage3
@@ -381,60 +448,28 @@ class CuShaEngine(Engine):
                         if mdr is not None:
                             mdr.note_processed(act)
                         sparse = act.size < b - a
-                        if not sparse:
-                            s1_row += st1m[a:b].sum(axis=0)
-                            s2_row += st2m[a:b].sum(axis=0)
-                            s3_row += st3m[a:b].sum(axis=0)
+                        rows = act if sparse else slice(a, b)
+                        s1_row += st1m[rows].sum(axis=0)
+                        s2_row += st2m[rows].sum(axis=0)
+                        s3_row += st3m[rows].sum(axis=0)
                     elif frontier_on:  # pull: dense sweep, clear everything
                         frontier.dirty[a:b] = False
                         processed_shards += b - a
                     if sparse:
-                        # Frontier gather: pack the active shards' vertex
-                        # slices and entry ranges, rebase destinations into
-                        # the packed coordinate space, and run the same
-                        # kernels over the subset.
-                        v_lo = act * N
-                        v_hi = np.minimum(v_lo + N, n)
-                        v_cnt = v_hi - v_lo
-                        v_idx = multi_arange(v_lo, v_hi)
-                        e_lo = sh.shard_offsets[act]
-                        e_hi = sh.shard_offsets[act + 1]
-                        e_idx = multi_arange(e_lo, e_hi)
-                        packed_off = np.zeros(act.size + 1, dtype=np.int64)
-                        np.cumsum(v_cnt, out=packed_off[1:])
-                        dest_sub = dest_global[e_idx] - np.repeat(
-                            v_lo - packed_off[:-1], e_hi - e_lo
+                        v_idx, e_idx, dest_sub, packed_off = pack_shards(
+                            act, N, n, sh.shard_offsets, dest_global
                         )
                         frontier.edges_processed += int(e_idx.size)
-                        s1_row += st1m[act].sum(axis=0)
-                        s2_row += st2m[act].sum(axis=0)
-                        s3_row += st3m[act].sum(axis=0)
-                        old = vertex_values[v_idx]
-                        local = program.init_local(old)
-                        msgs, mask = program.messages(
-                            vertex_values[src_index[e_idx]],
-                            None if src_static is None else src_static[e_idx],
-                            None if edge_vals is None else edge_vals[e_idx],
-                            old[dest_sub],
-                        )
-                        ops, changed = apply_reductions(
-                            program, local, dest_sub, msgs, mask,
-                            track_changed=track,
+                        ops, changed, _, pos, new = wave_kernel(
+                            program, vertex_values, entries, v_idx, e_idx,
+                            dest_sub, track,
                         )
                     else:
                         if frontier_on:
                             frontier.edges_processed += ee - eo
-                        old = vertex_values[vlo:vhi]
-                        local = program.init_local(old)
-                        msgs, mask = program.messages(
-                            vertex_values[src_index[eo:ee]],
-                            None if src_static is None else src_static[eo:ee],
-                            None if edge_vals is None else edge_vals[eo:ee],
-                            old[dest_local],
-                        )
-                        ops, changed = apply_reductions(
-                            program, local, dest_local, msgs, mask,
-                            track_changed=track,
+                        ops, changed, _, pos, new = wave_kernel(
+                            program, vertex_values, entries, slice(vlo, vhi),
+                            slice(eo, ee), dest_local, track,
                         )
                     if track and changed is not None:
                         active_vertices += int(changed.sum())
@@ -442,35 +477,27 @@ class CuShaEngine(Engine):
                     stage2_dynamic.add_atomics(shared=ops)
                     if trace_on:
                         dyn2.add_atomics(shared=ops)
-                    final, upd = program.apply(local, old)
-                    n_upd = int(upd.sum())
                     wave_shards = _EMPTY_SHARDS
                     idx = None
-                    if n_upd:
+                    if pos.size:
+                        # Per-shard store pricing: segment the updated rows
+                        # by owning shard so warp rows never span shards
+                        # (as in the reference loop).
                         if sparse:
-                            pos = np.flatnonzero(upd)
                             idx = v_idx[pos]
-                            vertex_values[idx] = final[upd]
-                            # Per-shard store pricing over the packed
-                            # segments (warp rows never span shards).
                             seg_of = (
                                 np.searchsorted(packed_off, pos, side="right")
                                 - 1
                             )
                             counts = np.bincount(seg_of, minlength=act.size)
-                            seg = np.zeros(act.size + 1, dtype=np.int64)
-                            np.cumsum(counts, out=seg[1:])
-                            wave_shards = act[np.flatnonzero(counts)]
                         else:
-                            idx = vlo + np.flatnonzero(upd)
-                            vertex_values[idx] = final[upd]
-                            # Per-shard store pricing: segment the updated
-                            # indices by owning shard so warp rows never span
-                            # shard boundaries (as in the reference loop).
-                            counts = np.bincount(idx // N - a, minlength=b - a)
-                            seg = np.zeros(b - a + 1, dtype=np.int64)
-                            np.cumsum(counts, out=seg[1:])
-                            wave_shards = a + np.flatnonzero(counts)
+                            idx = vlo + pos
+                            counts = np.bincount(pos // N, minlength=b - a)
+                        vertex_values[idx] = new
+                        seg = np.zeros(counts.size + 1, dtype=np.int64)
+                        np.cumsum(counts, out=seg[1:])
+                        nz = np.flatnonzero(counts)
+                        wave_shards = act[nz] if sparse else a + nz
                         store_tc = gather_transactions_segmented(
                             idx, vbytes, seg, warp_size=warp,
                             transaction_bytes=STORE_GRANULARITY_BYTES)
@@ -478,7 +505,7 @@ class CuShaEngine(Engine):
                         stage3_dynamic.add_store(store_tc)
                         if trace_on:
                             dyn3.add_store(store_tc)
-                        updated_total += n_upd
+                        updated_total += int(pos.size)
                         if frontier_on:
                             it.last_mask[idx] = True
                     if self.always_writeback:

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from repro.frameworks.base import (ConvergenceError, Engine, IterationTrace,
                                    RunConfig, RunResult)
-from repro.cache import graph_fingerprint, resolve_cache
-from repro.frameworks.csrloop import CSRProblem, iterate_chunks
-from repro.graph.csr import CSR
+from repro.cache import counted, resolve_cache
+from repro.frameworks.csrloop import (CSRProblem, cache_option,
+                                     iterate_chunks, preflight_csr)
 from repro.graph.digraph import DiGraph
 from repro.gpu.spec import CPUSpec, I7_3930K
 from repro.gpu.stats import KernelStats
@@ -79,16 +79,7 @@ class MTCPUEngine(Engine):
         self, graph: DiGraph, program: VertexProgram, config: RunConfig
     ) -> tuple:
         """The CSR this run iterates, via the same cache key ``_run`` uses."""
-        cache_opt = False if config.exec_path == "reference" else self.cache
-        cache = resolve_cache(cache_opt)
-        if cache is not None:
-            csr = cache.get(
-                ("csr", graph_fingerprint(graph)),
-                lambda: CSR.from_graph(graph),
-            )
-        else:
-            csr = CSR.from_graph(graph)
-        return (csr,)
+        return preflight_csr(self, graph, config)
 
     def predicted_stage_stats(
         self, graph: DiGraph, program: VertexProgram
@@ -113,17 +104,11 @@ class MTCPUEngine(Engine):
             num_edges=graph.num_edges,
             threads=self.threads,
         ) as run_span:
-            cache_opt = (
-                False if config.exec_path == "reference" else self.cache
+            cache_opt = cache_option(self, config)
+            problem, cache_hits, cache_misses = counted(
+                resolve_cache(cache_opt),
+                lambda: CSRProblem.build(graph, program, cache=cache_opt),
             )
-            cache = resolve_cache(cache_opt)
-            cache_hits = cache_misses = 0
-            if cache is not None:
-                hits0, misses0 = cache.counters()
-            problem = CSRProblem.build(graph, program, cache=cache_opt)
-            if cache is not None:
-                hits1, misses1 = cache.counters()
-                cache_hits, cache_misses = hits1 - hits0, misses1 - misses0
             if config.resume_values is not None:
                 problem.vertex_values = config.initial_values(graph, program)
             chunk = max(1, -(-graph.num_vertices // self.threads))

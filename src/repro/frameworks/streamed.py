@@ -29,13 +29,21 @@ The iteration protocol (fault hooks, transfers, frontier direction,
 multi-device exchange, traces, convergence, the result) is
 :func:`repro.frameworks.sweep.run_sweeps`; this module supplies the chunked
 representation and one ``sweeps`` operator per path.  ``config.exec_path``
-selects the operator.  Because every shard owns its destination-vertex
-slice and write-backs are deferred to the iteration boundary, *all* shards
-in an iteration are independent: the fast operator (default) evaluates the
-whole iteration in one vectorized step and recovers the per-chunk stats —
-and therefore the identical per-chunk compute times feeding the overlap
-model — from segmented pricing.  ``"reference"`` keeps the original
-per-shard chunk loop as the oracle the fast operator is gated against.
+selects the operator.
+
+Apart from the transfer model this engine is CuSha-CW on a ``"bsp"``
+schedule: every shard owns its destination-vertex slice and write-backs
+are deferred to the iteration boundary, so the whole iteration is one
+wave.  The fast operator (default) therefore runs CuSha's batched kernel
+step (:func:`repro.frameworks.cusha.wave_kernel`) once per iteration,
+reading ``SrcValue`` as ``VertexValues[SrcIndex]`` (the wave-start
+invariant holds at every iteration start), and prices from CuSha-CW's
+cached static bundle under CuSha-CW's own cache keys.  It keeps only its
+per-chunk pricing: the per-shard stats are summed per chunk, so the
+per-chunk compute times feeding the overlap model are those of the chunk
+loop.  ``"reference"`` keeps the original per-shard chunk loop, with the
+literal ``SrcValue`` array and write-back, as the oracle the fast operator
+is gated against.
 """
 
 from __future__ import annotations
@@ -44,13 +52,13 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.cache import cached, counted, graph_fingerprint, resolve_cache
+from repro.cache import counted, resolve_cache
 from repro.frameworks.base import Engine, RunConfig, RunResult
-from repro.frameworks.cusha import CuShaEngine
+from repro.frameworks.cusha import (CuShaEngine, entry_arrays, pack_shards,
+                                    wave_kernel)
 from repro.frameworks.sweep import (SweepContext, SweepPlan, SweepStep,
                                     run_sweeps)
-from repro.frameworks.wavebatch import (multi_arange, stats_from_row,
-                                        streamed_static_bundle)
+from repro.frameworks.wavebatch import stats_from_row
 from repro.graph.cw import ConcatenatedWindows
 from repro.graph.digraph import DiGraph
 from repro.gpu.pcie import transfer_ms
@@ -71,6 +79,19 @@ def _entry_bytes(program: VertexProgram) -> int:
     """Streamed bytes per shard entry (including its CW mapper slot)."""
     return (4 + program.vertex_value_bytes + program.static_value_bytes
             + program.edge_value_bytes + 4 + 4)
+
+
+def _chunk_pricing(bundle, chunks: list[tuple[int, int]]) -> tuple:
+    """``(shard_static, chunk_static, writeback)`` stats matrices of the
+    streamed chunk loop, derived from CuSha-CW's static bundle.  A chunk
+    prices stages 1-2 without bank-conflict replays and no stage 3, and
+    its CW write-back reads one 4-byte stream where CuSha reads two."""
+    shard_static = bundle.stage1 + bundle.stage2
+    shard_static[:, 6] -= bundle.replays * costs.INSTR_ATOMIC_REPLAY
+    chunk_static = np.array([shard_static[a:b].sum(axis=0) for a, b in chunks])
+    writeback = bundle.stage4.copy()
+    writeback[:, :2] /= 2
+    return shard_static, chunk_static, writeback
 
 
 class StreamedCuShaEngine(Engine):
@@ -135,33 +156,19 @@ class StreamedCuShaEngine(Engine):
         self, graph: DiGraph, program: VertexProgram, cache, *,
         stats: bool = True,
     ) -> tuple:
-        """``(cw, chunks, bundle, fingerprint)`` of a run, through ``cache``
-        when one is configured; ``stats=False`` stops after the CW."""
+        """``(cw, chunks, bundle, fingerprint)`` of a run: the CW and the
+        static bundle of CuSha-CW, through CuSha-CW's own cache keys, and
+        the chunking; ``stats=False`` stops after the CW."""
         inner = CuShaEngine(
             "cw",
             vertices_per_shard=self.vertices_per_shard,
             spec=self.spec,
             pcie=self.pcie,
         )
-        N = inner._choose_shard_size(graph, program)
-        fp = None if cache is None else graph_fingerprint(graph)
-        cw = cached(cache, ("cw", fp, N),
-                    lambda: ConcatenatedWindows.from_graph(graph, N))
+        cw, bundle, fp = inner._lookup(graph, program, cache, stats=stats)
         if not stats:
             return cw, None, None, fp
-        layout = (self.spec.warp_size, program.vertex_value_bytes,
-                  program.static_value_bytes, program.edge_value_bytes)
-
-        def build():
-            chunks = self._chunk_shards(cw, _entry_bytes(program))
-            return chunks, streamed_static_bundle(cw, chunks, *layout)
-
-        chunks, bundle = cached(
-            cache,
-            ("streamed-stats", fp, N, *layout, self.device_memory_bytes),
-            build,
-        )
-        return cw, chunks, bundle, fp
+        return cw, self._chunk_shards(cw, _entry_bytes(program)), bundle, fp
 
     def preflight_representations(
         self, graph: DiGraph, program: VertexProgram, config: RunConfig
@@ -181,11 +188,12 @@ class StreamedCuShaEngine(Engine):
         _, chunks, bundle, _ = self._lookup(
             graph, program, resolve_cache(self.cache)
         )
+        _, chunk_static, writeback = _chunk_pricing(bundle, chunks)
         out = {
-            f"chunk-{k}-compute": stats_from_row(bundle.chunk_static[k])
-            for k in range(len(chunks))
+            f"chunk-{k}-compute": stats_from_row(row)
+            for k, row in enumerate(chunk_static)
         }
-        out["writeback"] = stats_from_row(bundle.writeback.sum(axis=0))
+        out["writeback"] = stats_from_row(writeback.sum(axis=0))
         return out
 
     # ------------------------------------------------------------------
@@ -316,15 +324,10 @@ class StreamedCuShaEngine(Engine):
 
         # Host-side state (the "disk" copy); device residency is modeled.
         vertex_values = config.initial_values(graph, program)
-        static_all = program.static_values(graph)
-        src_value = vertex_values[sh.src_index].copy()
-        src_static = None if static_all is None else static_all[sh.src_index]
-        ev = program.edge_values(graph)
-        edge_vals = None if ev is None else ev[sh.edge_positions]
+        entries = entry_arrays(graph, program, sh)
 
         dest_global = bundle.dest_global
-        chunk_static = bundle.chunk_static
-        wb_mat = bundle.writeback
+        shard_static, chunk_static, wb_mat = _chunk_pricing(bundle, chunks)
         # Entry->chunk and shard->chunk maps for attributing the dynamic
         # stats (atomic ops, conditional stores) back to their chunk.
         chunk_entry_sizes = np.array(
@@ -341,7 +344,6 @@ class StreamedCuShaEngine(Engine):
         shard_byte_sizes = shard_entry_sizes * entry_bytes
         total_entries = int(sh.shard_offsets[-1])
         n = graph.num_vertices
-        shard_static = bundle.shard_static
         transfer_times = [
             transfer_ms(int(cb), self.pcie) for cb in chunk_byte_sizes
         ]
@@ -360,77 +362,45 @@ class StreamedCuShaEngine(Engine):
                     if mdr is not None:
                         mdr.note_processed(act)
                     frontier.edges_processed += int(shard_entry_sizes[act].sum())
-                    # Frontier gather: pack the active shards' vertex
-                    # slices and entry ranges, rebase destinations into
-                    # the packed coordinate space, and run the same
-                    # whole-iteration step over the subset (every shard
-                    # owns its destination slice, so the gather is closed).
-                    v_lo = act * N
-                    v_hi = np.minimum(v_lo + N, n)
-                    v_idx = multi_arange(v_lo, v_hi)
-                    e_idx = multi_arange(
-                        sh.shard_offsets[act], sh.shard_offsets[act + 1]
+                    v_idx, e_idx, dest_sub, _ = pack_shards(
+                        act, N, n, sh.shard_offsets, dest_global
                     )
-                    packed_off = np.zeros(act.size + 1, dtype=np.int64)
-                    np.cumsum(v_hi - v_lo, out=packed_off[1:])
-                    dest_sub = dest_global[e_idx] - np.repeat(
-                        v_lo - packed_off[:-1], shard_entry_sizes[act]
+                    ops_total, changed, mask, pos, new = wave_kernel(
+                        program, vertex_values, entries, v_idx, e_idx,
+                        dest_sub, track,
                     )
-                    old = vertex_values[v_idx]
-                    local = program.init_local(old)
-                    msgs, mask = program.messages(
-                        src_value[e_idx],
-                        None if src_static is None else src_static[e_idx],
-                        None if edge_vals is None else edge_vals[e_idx],
-                        old[dest_sub],
-                    )
-                    ops_total, changed = apply_reductions(
-                        program, local, dest_sub, msgs, mask,
-                        track_changed=track,
-                    )
+                    idx = v_idx[pos]
                     ec = entry_chunk[e_idx]
-                    if mask is None:
-                        masked_per_chunk = np.bincount(ec, minlength=C)
-                    else:
-                        masked_per_chunk = np.bincount(ec[mask], minlength=C)
                 else:
                     if frontier_on:  # pull: dense sweep over everything
                         frontier.dirty[:] = False
                         active_shard_count = S
                         frontier.edges_processed += total_entries
-                    # One vectorized step over every entry: shards only read
-                    # their own vertex slice pre-update and write-back is
-                    # deferred to the iteration boundary, so the concatenated
-                    # evaluation is bit-identical to the per-chunk loop.
-                    local = program.init_local(vertex_values)
-                    msgs, mask = program.messages(
-                        src_value, src_static, edge_vals,
-                        vertex_values[dest_global],
+                    # The whole iteration is one wave: write-back is
+                    # deferred to the iteration boundary (BSP across
+                    # chunks), so one step over every entry equals the
+                    # per-chunk loop.
+                    ops_total, changed, mask, pos, new = wave_kernel(
+                        program, vertex_values, entries, slice(0, n),
+                        slice(0, total_entries), dest_global, track,
                     )
-                    ops_total, changed = apply_reductions(
-                        program, local, dest_global, msgs, mask,
-                        track_changed=track,
-                    )
-                    if mask is None:
-                        masked_per_chunk = chunk_entry_sizes
-                    else:
-                        masked_per_chunk = np.bincount(
-                            entry_chunk[mask], minlength=C
-                        )
+                    idx = pos
+                    ec = entry_chunk
                 if track and changed is not None:
                     active_vertices = int(changed.sum())
-                ops_per_chunk = masked_per_chunk * len(msgs)
-                if push:
-                    final, upd = program.apply(local, old)
-                    idx = v_idx[np.flatnonzero(upd)]
-                else:
-                    final, upd = program.apply(local, vertex_values)
-                    idx = np.flatnonzero(upd)
+                masked_per_chunk = np.bincount(
+                    ec if mask is None else ec[mask], minlength=C
+                )
+                # Every message-passing entry does the same number of
+                # reduction ops, so ops split across chunks by entry.
+                ops_per_chunk = masked_per_chunk * (
+                    ops_total // max(1, int(masked_per_chunk.sum()))
+                )
                 updated_total = int(idx.size)
                 store_tx_chunk = np.zeros(C, dtype=np.float64)
                 store_bytes_chunk = np.zeros(C, dtype=np.float64)
                 if updated_total:
-                    vertex_values[idx] = final[upd]
+                    vertex_values[idx] = new
                     shard_counts = np.bincount(idx // N, minlength=S)
                     seg = np.zeros(S + 1, dtype=np.int64)
                     np.cumsum(shard_counts, out=seg[1:])
@@ -484,23 +454,18 @@ class StreamedCuShaEngine(Engine):
                     ran.append(
                         (k, stats_from_row(row), iter_tt[k], int(iter_bytes[k]))
                     )
-                assert ops_total == int(ops_per_chunk.sum())
-                # Write-back (CW) is applied once per iteration after all
+                # Write-back (CW) is priced once per iteration after all
                 # chunks ran: cross-chunk staging semantics (BSP across
-                # chunks).  The updated shards' mapper slots are disjoint,
-                # so one batched scatter matches the per-shard loop.
+                # chunks).  The next iteration reads the new values
+                # directly, so nothing is copied.
                 if upd_shards.size:
-                    pos = multi_arange(
-                        cw.cw_offsets[upd_shards], cw.cw_offsets[upd_shards + 1],
-                    )
-                    src_value[cw.mapper[pos]] = vertex_values[cw.cw_src_index[pos]]
                     wb_stats = stats_from_row(wb_mat[upd_shards].sum(axis=0))
                 else:
                     wb_stats = KernelStats()
                 if frontier_on:
-                    # Iteration-end flush: src_value now carries the new
-                    # values, so mark the updaters' shards and everything
-                    # they influence (all marks survive under BSP).
+                    # Iteration-end flush: mark the updaters' shards and
+                    # everything they influence (all marks survive under
+                    # BSP).
                     it.last_mask[idx] = True
                     frontier.mark(idx)
                 yield (updated_total, active_shard_count, active_vertices, ran,

@@ -25,11 +25,11 @@ import numpy as np
 from repro.cache import cached, counted, graph_fingerprint, resolve_cache
 from repro.frameworks import costs
 from repro.frameworks.base import Engine, RunConfig, RunResult
-from repro.frameworks.csrloop import CSRProblem, iterate_chunks, run_chunk
+from repro.frameworks.csrloop import (CSRProblem, cache_option,
+                                     iterate_chunks, preflight_csr, run_chunk)
 from repro.frameworks.frontier import resume_dirty
 from repro.frameworks.sweep import (SweepContext, SweepPlan, SweepStep,
                                     run_sweeps)
-from repro.graph.csr import CSR
 from repro.graph.digraph import DiGraph
 from repro.gpu.engine import KernelCostModel
 from repro.gpu.memory import contiguous_transactions, gather_transactions, segments_rowwise
@@ -273,16 +273,7 @@ class VWCEngine(Engine):
         self, graph: DiGraph, program: VertexProgram, config: RunConfig
     ) -> tuple:
         """The CSR this run iterates, via the same cache key ``_run`` uses."""
-        cache_opt = False if config.exec_path == "reference" else self.cache
-        cache = resolve_cache(cache_opt)
-        if cache is not None:
-            csr = cache.get(
-                ("csr", graph_fingerprint(graph)),
-                lambda: CSR.from_graph(graph),
-            )
-        else:
-            csr = CSR.from_graph(graph)
-        return (csr,)
+        return preflight_csr(self, graph, config)
 
     def predicted_stage_stats(
         self, graph: DiGraph, program: VertexProgram
@@ -308,9 +299,7 @@ class VWCEngine(Engine):
         vbytes = program.vertex_value_bytes
         sbytes = program.static_value_bytes
         ebytes = program.edge_value_bytes
-        # The reference execution path never consults the cache, keeping the
-        # equivalence baseline free of memoization.
-        cache_opt = False if config.exec_path == "reference" else self.cache
+        cache_opt = cache_option(self, config)
         cache = resolve_cache(cache_opt)
         # The lockstep schedule is static per (graph structure, virtual
         # warp config, value layout): cache the priced phases.

@@ -2,18 +2,19 @@
 
 The CuSha engines' reference implementation loops over shards in Python —
 thousands of tiny numpy calls per iteration on sparse graphs where the
-shard count ``S`` is large.  This module provides the batched equivalents:
+shard count ``S`` is large.  This module provides the batched equivalents
+that the CuSha and streamed fast operators share (the batched kernel step
+itself is :func:`repro.frameworks.cusha.wave_kernel`):
 
 - per-shard static :class:`~repro.gpu.stats.KernelStats` computed as one
   ``(S, 9)`` matrix (:data:`STAT_FIELDS` column order) via the segmented
   pricing helpers, so per-iteration stage-4 accrual is a row sum instead of
   ``S`` object additions;
-- :func:`cusha_static_bundle` / :func:`streamed_static_bundle` — the whole
-  O(S) setup loop of ``cusha.py`` / ``streamed.py`` evaluated without a
-  Python-level shard loop (and cacheable across runs, see
-  :mod:`repro.cache`);
-- :func:`multi_arange` — concatenated index ranges for batched CW
-  write-backs.
+- :func:`cusha_static_bundle` — the whole O(S) setup loop of ``cusha.py``
+  evaluated without a Python-level shard loop (and cacheable across runs,
+  see :mod:`repro.cache`).  The streamed engine prices its chunks from the
+  same CW bundle;
+- :func:`multi_arange` — concatenated index ranges.
 
 Everything here is **equivalence-gated**: every quantity is integer-valued
 (the ``INSTR_*`` costs are integers and lane-slot totals are warp
@@ -46,8 +47,6 @@ __all__ = [
     "window_rows_grouped",
     "CuShaStaticBundle",
     "cusha_static_bundle",
-    "StreamedStaticBundle",
-    "streamed_static_bundle",
 ]
 
 #: Column order of the per-shard stats matrices (``kernel_launches`` is
@@ -159,7 +158,7 @@ class CuShaStaticBundle:
     program layout): the per-iteration base stats of stages 1-3 (both as
     aggregates and as per-shard matrices — frontier-gated sweeps charge row
     sums over the shards actually processed) and the per-shard stage-4
-    stats matrix."""
+    stats matrix, plus each shard's stage-2 bank-conflict replay count."""
 
     base1: KernelStats
     base2: KernelStats
@@ -168,13 +167,15 @@ class CuShaStaticBundle:
     stage2: np.ndarray  # (S, len(STAT_FIELDS)) float64
     stage3: np.ndarray  # (S, len(STAT_FIELDS)) float64
     stage4: np.ndarray  # (S, len(STAT_FIELDS)) float64
+    replays: np.ndarray  # (S,) shared-atomic bank-conflict replays
     dest_global: np.ndarray  # dest_index as int64 (shared, read-only)
 
 
 def _stage_base_matrices(
     sh, warp: int, vbytes: int, sbytes: int, ebytes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stages 1-3 per-shard static stats matrices, vectorized over shards.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stages 1-3 per-shard static stats matrices, vectorized over shards,
+    plus the per-shard replay counts priced into stage 2.
 
     Every entry is integer-valued, so the aggregate stats (``base1`` etc.)
     are exact row sums of these matrices — the frontier-gated partial sums
@@ -224,7 +225,7 @@ def _stage_base_matrices(
     st3[:, 4] = n_arr
     st3[:, 5] = n_rows * warp
     st3[:, 6] = n_rows * costs.INSTR_UPDATE
-    return st1, st2, st3
+    return st1, st2, st3, replays
 
 
 def _stage4_matrix_cw(cw, warp: int, vbytes: int) -> np.ndarray:
@@ -294,7 +295,9 @@ def cusha_static_bundle(
 ) -> CuShaStaticBundle:
     """The whole static-stats setup of ``CuShaEngine`` in vectorized form."""
     sh = cw.shards
-    st1, st2, st3 = _stage_base_matrices(sh, warp, vbytes, sbytes, ebytes)
+    st1, st2, st3, replays = _stage_base_matrices(
+        sh, warp, vbytes, sbytes, ebytes
+    )
     if mode == "gs":
         stage4 = _stage4_matrix_gs(sh, warp, vbytes)
     else:
@@ -307,100 +310,6 @@ def cusha_static_bundle(
         stage2=st2,
         stage3=st3,
         stage4=stage4,
-        dest_global=sh.dest_index.astype(np.int64),
-    )
-
-
-# ----------------------------------------------------------------------
-# Streamed static bundle
-# ----------------------------------------------------------------------
-@dataclass
-class StreamedStaticBundle:
-    """Per-chunk static compute stats plus the per-shard write-back stats
-    matrix for :class:`~repro.frameworks.streamed.StreamedCuShaEngine`.
-    ``shard_static`` keeps the per-shard resolution of ``chunk_static``
-    (its rows sum to the chunk rows exactly) so frontier-gated iterations
-    can charge only the shards they actually process."""
-
-    chunk_static: np.ndarray  # (num_chunks, len(STAT_FIELDS)) float64
-    shard_static: np.ndarray  # (S, len(STAT_FIELDS)) float64
-    writeback: np.ndarray  # (S, len(STAT_FIELDS)) float64
-    dest_global: np.ndarray  # dest_index as int64 (shared, read-only)
-
-
-def _shard_static_matrix(
-    sh, warp: int, vbytes: int, sbytes: int, ebytes: int
-) -> np.ndarray:
-    """Per-shard stages-1/2 static stats of the streamed chunk loop."""
-    n = sh.num_vertices
-    N = sh.vertices_per_shard
-    S = sh.num_shards
-    lo_arr = np.arange(S, dtype=np.int64) * N
-    n_arr = np.minimum(lo_arr + N, n) - lo_arr
-    m_arr = np.diff(sh.shard_offsets)
-    o_arr = sh.shard_offsets[:-1]
-    mat = np.zeros((S, len(STAT_FIELDS)), dtype=np.float64)
-
-    _, tx = contiguous_transactions_segmented(
-        n_arr, vbytes, start_bytes=lo_arr * vbytes, warp_size=warp,
-        transaction_bytes=LOAD_GRANULARITY_BYTES, per_segment=True)
-    mat[:, 0] += tx
-    mat[:, 1] += n_arr * vbytes
-    for b in filter(None, (vbytes, 4, sbytes, ebytes)):
-        _, tx = contiguous_transactions_segmented(
-            m_arr, b, start_bytes=o_arr * b, warp_size=warp,
-            transaction_bytes=LOAD_GRANULARITY_BYTES, per_segment=True)
-        mat[:, 0] += tx
-        mat[:, 1] += m_arr * b
-    n_rows = -(-n_arr // warp)
-    m_rows = -(-m_arr // warp)
-    mat[:, 4] = n_arr + m_arr
-    mat[:, 5] = (n_rows + m_rows) * warp
-    mat[:, 6] = (
-        n_rows * costs.INSTR_INIT + m_rows * costs.INSTR_COMPUTE
-    )
-    return mat
-
-
-def _writeback_matrix(cw, warp: int, vbytes: int) -> np.ndarray:
-    """Per-shard CW write-back stats as priced by the streamed engine
-    (one 4-byte contiguous read — not CuSha's two — plus mapper stores)."""
-    S = cw.num_shards
-    L_arr = np.diff(cw.cw_offsets)
-    mat = np.zeros((S, len(STAT_FIELDS)), dtype=np.float64)
-    _, load_tx = contiguous_transactions_segmented(
-        L_arr, 4, start_bytes=cw.cw_offsets[:-1] * 4, warp_size=warp,
-        transaction_bytes=LOAD_GRANULARITY_BYTES, per_segment=True)
-    mat[:, 0] = load_tx
-    mat[:, 1] = L_arr * 4
-    _, store_tx = gather_transactions_segmented(
-        cw.mapper, vbytes, cw.cw_offsets, warp_size=warp,
-        transaction_bytes=STORE_GRANULARITY_BYTES, per_segment=True)
-    mat[:, 2] = store_tx
-    mat[:, 3] = L_arr * vbytes
-    rows = -(-L_arr // warp)
-    mat[:, 4] = L_arr
-    mat[:, 5] = rows * warp
-    mat[:, 6] = rows * costs.INSTR_WRITEBACK
-    return mat
-
-
-def streamed_static_bundle(
-    cw,
-    chunks: list[tuple[int, int]],
-    warp: int,
-    vbytes: int,
-    sbytes: int,
-    ebytes: int,
-) -> StreamedStaticBundle:
-    sh = cw.shards
-    shard_mat = _shard_static_matrix(sh, warp, vbytes, sbytes, ebytes)
-    chunk_static = np.stack(
-        [shard_mat[a:b].sum(axis=0) for a, b in chunks]
-    ) if chunks else np.zeros((0, len(STAT_FIELDS)))
-    return StreamedStaticBundle(
-        chunk_static=chunk_static,
-        shard_static=shard_mat,
-        writeback=_writeback_matrix(cw, warp, vbytes),
+        replays=replays,
         dest_global=sh.dest_index.astype(np.int64),
     )

@@ -23,11 +23,15 @@ Metric names are dotted, ``<namespace>.<quantity>``:
 - ``analysis.perf.*`` — drift-gate outcomes (``stages_checked``,
   ``fields_checked``, ``drift_violations`` counters and the
   ``analysis.perf.iterations.<engine>`` gauges).
+
+A registry is safe to share between threads: creating an instrument and
+every update of its value happen under the registry's lock.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 __all__ = [
     "Counter",
@@ -43,17 +47,19 @@ __all__ = [
 class Counter:
     """Monotonically increasing integer/float count."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "_lock")
     metric_type = "counter"
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, lock=None) -> None:
         self.name = name
         self.value = 0
+        self._lock = lock or threading.Lock()
 
     def inc(self, amount: int | float = 1) -> None:
         if amount < 0:
             raise ValueError("counters only increase; use a gauge")
-        self.value += amount
+        with self._lock:
+            self.value += amount
 
     def as_dict(self) -> dict:
         return {"type": "counter", "value": self.value}
@@ -62,15 +68,17 @@ class Counter:
 class Gauge:
     """Last-written value (e.g. the chosen wave size or |N|)."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "_lock")
     metric_type = "gauge"
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, lock=None) -> None:
         self.name = name
         self.value: int | float | None = None
+        self._lock = lock or threading.Lock()
 
     def set(self, value: int | float) -> None:
-        self.value = value
+        with self._lock:
+            self.value = value
 
     def as_dict(self) -> dict:
         return {"type": "gauge", "value": self.value}
@@ -84,11 +92,12 @@ class Histogram:
     quantities (updated vertices, window sizes) this repo tracks.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "buckets")
+    __slots__ = ("name", "count", "total", "min", "max", "buckets", "_lock")
     metric_type = "histogram"
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, lock=None) -> None:
         self.name = name
+        self._lock = lock or threading.Lock()
         self.count = 0
         self.total = 0.0
         self.min: float | None = None
@@ -96,14 +105,15 @@ class Histogram:
         self.buckets: dict[int, int] = {}
 
     def observe(self, value: int | float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
         k = 0 if value <= 1 else math.ceil(math.log2(value))
-        self.buckets[k] = self.buckets.get(k, 0) + 1
+        with self._lock:
+            self.count += 1
+            self.total += value
+            if self.min is None or value < self.min:
+                self.min = value
+            if self.max is None or value > self.max:
+                self.max = value
+            self.buckets[k] = self.buckets.get(k, 0) + 1
 
     @property
     def mean(self) -> float:
@@ -126,12 +136,16 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._lock = threading.Lock()
 
     def _get(self, name: str, cls):
         inst = self._metrics.get(name)
         if inst is None:
-            inst = self._metrics[name] = cls(name)
-        elif not isinstance(inst, cls):
+            with self._lock:
+                inst = self._metrics.get(name)
+                if inst is None:
+                    inst = self._metrics[name] = cls(name, self._lock)
+        if not isinstance(inst, cls):
             raise TypeError(
                 f"metric {name!r} already registered as {inst.metric_type}"
             )
@@ -148,14 +162,17 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def names(self) -> list[str]:
-        return sorted(self._metrics)
+        with self._lock:
+            return sorted(self._metrics)
 
     def get(self, name: str):
         return self._metrics.get(name)
 
     def as_dict(self) -> dict[str, dict]:
-        """Snapshot of every instrument, JSON-serializable."""
-        return {n: self._metrics[n].as_dict() for n in self.names()}
+        """Snapshot of every instrument, JSON-serializable; consistent
+        under concurrent updates (they wait on the same lock)."""
+        with self._lock:
+            return {n: m.as_dict() for n, m in sorted(self._metrics.items())}
 
     def __len__(self) -> int:
         return len(self._metrics)

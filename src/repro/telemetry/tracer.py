@@ -25,11 +25,17 @@ The default tracer everywhere is :data:`NULL_TRACER`, a zero-overhead
 no-op: engines guard any non-trivial span bookkeeping behind
 ``tracer.enabled`` so an untraced run does no extra work and produces
 byte-identical results.
+
+A :class:`Tracer` may be shared by threads (the service's workers run
+engines concurrently on one tracer): each thread nests spans on its own
+stack, so a span's parent is always the innermost span open *in the same
+thread*, and span ids are unique across threads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -121,8 +127,17 @@ class Tracer:
 
         self.spans: list[Span] = []
         self.metrics = MetricsRegistry()
-        self._stack: list[Span] = []
+        self._local = threading.local()
+        self._lock = threading.Lock()
         self._next_id = 1
+
+    @property
+    def _stack(self) -> list[Span]:
+        """The calling thread's open spans, innermost last."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
 
     # ------------------------------------------------------------------
     def _new_span(
@@ -132,22 +147,27 @@ class Tracer:
             raise ValueError(
                 f"unknown span kind {kind!r}; expected one of {SPAN_KINDS}"
             )
+        stack = self._stack
         span = Span(
-            span_id=self._next_id,
-            parent_id=self._stack[-1].span_id if self._stack else None,
+            span_id=0,
+            parent_id=stack[-1].span_id if stack else None,
             name=name,
             kind=kind,
             wall_start_s=time.perf_counter(),
             model_start_ms=model_start_ms,
             attrs=attrs,
         )
-        self._next_id += 1
-        self.spans.append(span)
+        # One lock for the id and the append keeps ``spans`` in id order.
+        with self._lock:
+            span.span_id = self._next_id
+            self._next_id += 1
+            self.spans.append(span)
         return span
 
     def _close(self, span: Span) -> None:
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
+        stack = self._stack
+        if stack and stack[-1] is span:
+            stack.pop()
         span.wall_ms = (time.perf_counter() - span.wall_start_s) * 1e3
 
     # ------------------------------------------------------------------

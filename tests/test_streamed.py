@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_program
+from repro.cache import RepresentationCache
 from repro.frameworks import CuShaEngine, StreamedCuShaEngine
 from repro.gpu.spec import PCIeSpec
 from repro.frameworks.base import RunConfig
@@ -87,3 +88,45 @@ class TestOverlapModel:
             graph, make_program("bfs", graph)
         )
         assert streamed.h2d_ms < resident.h2d_ms
+
+
+class TestCuShaBSPContract:
+    """Streamed CuSha is CuSha-CW on a BSP schedule plus chunked transfer
+    pricing: its fast path runs CuSha's wave kernel over one whole-iteration
+    wave and prices from CuSha-CW's cached static bundle."""
+
+    @pytest.mark.parametrize("frontier", ["off", "sparse"])
+    @pytest.mark.parametrize("name", ["bfs", "sssp", "pr", "cc"])
+    def test_bit_exact_with_cusha_cw_bsp(self, graph, name, frontier):
+        config = RunConfig(max_iterations=5000, frontier=frontier)
+        streamed_engine = StreamedCuShaEngine(
+            device_memory_bytes=16 * 1024, vertices_per_shard=32, cache=False
+        )
+        streamed = streamed_engine.run(
+            graph, make_program(name, graph), config=config
+        )
+        bsp = CuShaEngine(
+            "cw", sync_mode="bsp", vertices_per_shard=32, cache=False
+        ).run(graph, make_program(name, graph), config=config)
+        assert streamed.num_chunks > 3
+        assert streamed.values.tobytes() == bsp.values.tobytes()
+        assert streamed.iterations == bsp.iterations
+        assert [t.updated_vertices for t in streamed.traces] == [
+            t.updated_vertices for t in bsp.traces
+        ]
+        assert streamed.edges_processed == bsp.edges_processed
+        if frontier == "off":
+            assert streamed.frontier_mask is bsp.frontier_mask is None
+        else:
+            assert np.array_equal(streamed.frontier_mask, bsp.frontier_mask)
+
+    def test_reuses_cusha_cw_cache_entries(self, graph):
+        cache = RepresentationCache()
+        CuShaEngine("cw", vertices_per_shard=32, cache=cache).run(
+            graph, make_program("sssp", graph)
+        )
+        streamed = StreamedCuShaEngine(
+            device_memory_bytes=16 * 1024, vertices_per_shard=32, cache=cache
+        ).run(graph, make_program("sssp", graph))
+        assert streamed.cache_misses == 0
+        assert streamed.cache_hits == 2

@@ -13,6 +13,7 @@ Four concerns, per the telemetry design contract:
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -114,6 +115,96 @@ class TestTracerCore:
         ks.add_atomics(shared=5, global_=1)
         back = stats_from_dict(stats_to_dict(ks))
         assert back == ks
+
+
+class TestTracerThreads:
+    """One tracer shared by threads: each thread nests its own spans."""
+
+    @staticmethod
+    def _ancestors(spans, span):
+        by_id = {s.span_id: s for s in spans}
+        out = []
+        while span.parent_id is not None:
+            span = by_id[span.parent_id]
+            out.append(span)
+        return out
+
+    def test_threads_nest_their_own_spans(self):
+        # Interleave two threads' spans deterministically: A opens a run,
+        # B opens a run, A opens an iteration, then both close.
+        t = Tracer()
+        a_run, b_run, a_iter = (threading.Event() for _ in range(3))
+        spans = {}
+
+        def thread_a():
+            with t.span("a", "run") as spans["a"]:
+                a_run.set()
+                b_run.wait(10)
+                with t.span("a-iter", "iteration") as spans["a-iter"]:
+                    a_iter.set()
+
+        def thread_b():
+            a_run.wait(10)
+            with t.span("b", "run") as spans["b"]:
+                b_run.set()
+                a_iter.wait(10)
+                t.emit("b-stage", "stage")
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert spans["a"].parent_id is None
+        assert spans["b"].parent_id is None
+        assert spans["a-iter"].parent_id == spans["a"].span_id
+        assert t.find(name="b-stage")[0].parent_id == spans["b"].span_id
+        assert [s.span_id for s in t.spans] == [1, 2, 3, 4]
+
+    def test_shared_metrics_count_every_update(self):
+        t = Tracer()
+
+        def work():
+            for i in range(2000):
+                t.metrics.counter("ops").inc()
+                t.metrics.histogram("h").observe(i)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert t.metrics.get("ops").value == 8000
+        assert t.metrics.get("h").count == 8000
+
+    def test_concurrent_service_jobs_keep_separate_trees(self):
+        from repro.service import JobRequest, Service, TenantQuota
+
+        graphs = [generators.random_weights(
+            generators.road_network(400, 32, seed=k), seed=k)
+            for k in range(4)]
+        tracer = Tracer()
+        unlimited = TenantQuota(max_pending=None, max_inflight=None)
+        with Service(workers=2, tracer=tracer,
+                     default_quota=unlimited) as svc:
+            svc.pause()
+            handles = [svc.submit(JobRequest(g, "sssp", source=s))
+                       for g in graphs for s in (0, 7, 101, 999)]
+            svc.resume()
+            for h in handles:
+                h.result(timeout=120)
+        assert max(h.batched_with for h in handles) > 1
+        spans = tracer.spans
+        runs = tracer.find(kind="run")
+        assert len(runs) == 4
+        for run in runs:
+            kinds = {a.kind for a in self._ancestors(spans, run)}
+            assert not kinds & {"run", "iteration"}
+        by_id = {s.span_id: s for s in spans}
+        for it in tracer.find(kind="iteration"):
+            assert by_id[it.parent_id].kind == "run"
+        iterations = sum(run.attrs["iterations"] for run in runs)
+        assert len(tracer.find(kind="iteration")) == iterations
 
 
 class TestNullTracer:
