@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.graph.digraph import DiGraph
 from repro.vertexcentric.program import VertexProgram
 
@@ -71,16 +72,30 @@ def default_source(graph: DiGraph) -> int:
     return int(np.argmax(graph.out_degrees()))
 
 
+def _check_vertex(graph: DiGraph, knob: str, vertex) -> None:
+    """Refuse a seeded vertex id outside ``[0, n)``: NumPy indexing would
+    silently wrap a negative id and fail late, untyped, on a large one."""
+    if not 0 <= int(vertex) < graph.num_vertices:
+        raise ConfigError(
+            f"{knob} vertex {vertex} is outside the graph's vertex range "
+            f"[0, {graph.num_vertices})",
+            knob=knob,
+        )
+
+
 def make_program(name: str, graph: DiGraph, **kwargs) -> VertexProgram:
     """Instantiate program ``name`` configured for ``graph``.
 
     Source-based programs (BFS, SSSP, SSWP) default to
     :func:`default_source`; Circuit Simulation defaults to pinning the
-    highest out-degree vertex at 1 V and vertex ``n - 1`` at 0 V.
+    highest out-degree vertex at 1 V and vertex ``n - 1`` at 0 V.  A
+    seeded vertex outside ``[0, n)`` raises
+    :class:`~repro.errors.ConfigError` naming ``source`` or ``sources``.
     """
     key = name.lower()
     if key in ("bfs", "sssp", "sswp"):
         kwargs.setdefault("source", default_source(graph))
+        _check_vertex(graph, "source", kwargs["source"])
     if key == "bfs":
         return BFS(**kwargs)
     if key == "sssp":
@@ -103,5 +118,7 @@ def make_program(name: str, graph: DiGraph, **kwargs) -> VertexProgram:
                 (graph.num_vertices - 1, 0.0),
             ),
         )
+        for vertex, _ in kwargs["sources"]:
+            _check_vertex(graph, "sources", vertex)
         return CircuitSimulation(**kwargs)
     raise KeyError(f"unknown program {name!r}; known: {', '.join(PROGRAM_NAMES)}")

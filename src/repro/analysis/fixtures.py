@@ -488,6 +488,32 @@ def _perf_bank_conflicts() -> list:
                     subject="fixture-bank-conflicts")
 
 
+def _perf_swapped_writeback() -> list:
+    """Swap two shards' differing stage-4 rows in the CW static bundle the
+    fast path prices with.  Every column sum is unchanged, so only the
+    per-shard row check P308 can see it."""
+    from repro.analysis import perf
+    from repro.gpu.spec import GTX780
+
+    cw = ConcatenatedWindows.from_graph(perf_fixture_graph(), 64)
+    real = perf.cusha_static_bundle
+
+    def swapped(cw, mode, *layout):
+        bundle = real(cw, mode, *layout)
+        if mode == "cw":
+            st4 = bundle.stage4
+            i, j = 0, int(np.flatnonzero((st4 != st4[0]).any(axis=1))[0])
+            st4[[i, j]] = st4[[j, i]]
+        return bundle
+
+    perf.cusha_static_bundle = swapped
+    try:
+        return perf.audit_cw(cw, vbytes=4, sbytes=0, ebytes=0, spec=GTX780,
+                             subject="fixture-swapped-writeback")
+    finally:
+        perf.cusha_static_bundle = real
+
+
 @dataclass(frozen=True)
 class PerfFixture:
     """One performance-contract breakage and the P-code it must trip."""
@@ -509,6 +535,9 @@ PERF_FIXTURES: dict[str, PerfFixture] = {
     ),
     "perf-bank-conflicts": PerfFixture(
         "P305", frozenset({"P305"}), _perf_bank_conflicts
+    ),
+    "perf-swapped-writeback": PerfFixture(
+        "P308", frozenset({"P308"}), _perf_swapped_writeback
     ),
 }
 

@@ -15,17 +15,16 @@ checked contract, in three layers:
     both schemes (``P303``/``P304``), bounded bank-conflict replays and
     load efficiencies (``P305``/``P306``), the analytic scatter bound
     a window-grouped Mapper guarantees (``P307``), and frontier-gated
-    sweep pricing — the per-shard stats rows a ``frontier="sparse"``
-    iteration charges must reproduce the full-sweep prediction exactly
-    when every shard is active, so skipping a quiescent shard subtracts
-    exactly that shard's cost (``P308``).  The cost constants in
-    :mod:`repro.frameworks.costs` are checked against their contracted
-    mirror in :mod:`repro.analysis.budgets` (``P310``).
+    sweep pricing — every per-shard stats row a ``frontier="sparse"``
+    iteration charges must equal the reference per-shard pricing, so
+    skipping a quiescent shard subtracts exactly that shard's cost
+    (``P308``; ``P309`` at proven narrowed widths).  The cost constants
+    in :mod:`repro.frameworks.costs` are checked against their
+    contracted mirror in :mod:`repro.analysis.budgets` (``P310``).
 
 **Drift gate** (:func:`drift_gate`)
-    Price every stage independently (a per-shard mirror of the reference
-    formulas, deliberately *not* sharing code with the wave-batched fast
-    path), run the engine with the tracer on, and diff the measured
+    Price every stage from the reference per-shard pricing, run the
+    engine with the tracer on, and diff the measured
     :class:`~repro.gpu.stats.KernelStats` span counters against the
     predictions — exact for transaction/lane/byte counters (``P311``),
     toleranced for instruction costs (``P312``).  This is what catches a
@@ -43,10 +42,13 @@ checked contract, in three layers:
     code (``P320``, ``P323``, ``P325``, ``P327``, ``P329``).
     ``python -m repro perfgate`` drives all of it.
 
-CuSha stage predictions here intentionally mirror the *reference*
-per-shard pricing loop using only the simple (non-segmented) primitives;
-agreement with the measured fast path therefore cross-validates the
-segmented pricing helpers in :mod:`repro.frameworks.wavebatch` as well.
+The reference per-shard pricing is one function,
+:func:`repro.frameworks.cusha.shard_pricing`: the reference operators
+execute with it, and the CuSha and streamed predictions here are its
+sums.  It is built from the simple one-range primitives and shares
+nothing with the fast path's static bundle, so agreement with the
+measured fast path cross-validates the segmented pricing helpers in
+:mod:`repro.frameworks.wavebatch` as well.
 """
 
 from __future__ import annotations
@@ -60,20 +62,18 @@ import numpy as np
 
 from repro.analysis import budgets
 from repro.analysis.violations import Violation
-from repro.frameworks import costs
+from repro.frameworks import costs, streamed
 from repro.frameworks.base import RunConfig
-from repro.frameworks.cusha import CuShaEngine
+from repro.frameworks.cusha import CuShaEngine, shard_pricing
 from repro.frameworks.streamed import StreamedCuShaEngine
 from repro.frameworks.vwc import VWCEngine
+from repro.frameworks.wavebatch import STAT_FIELDS, cusha_static_bundle
 from repro.graph.cw import ConcatenatedWindows
 from repro.graph.shards import GShards
-from repro.gpu.memory import contiguous_transactions, gather_transactions
 from repro.gpu.occupancy import occupancy_report
-from repro.gpu.sharedmem import conflict_replays, replay_fraction
+from repro.gpu.sharedmem import replay_fraction
 from repro.gpu.stats import (COUNTER_FIELDS, KernelStats,
-                             LOAD_GRANULARITY_BYTES, STORE_GRANULARITY_BYTES,
-                             field_diffs)
-from repro.gpu.warp import slots_for_contiguous
+                             STORE_GRANULARITY_BYTES, field_diffs)
 from repro.telemetry.tracer import Tracer
 
 __all__ = [
@@ -165,8 +165,16 @@ def cost_contract_check() -> list[Violation]:
 
 
 # ----------------------------------------------------------------------
-# Independent per-stage predictors
+# Per-stage predictors: sums of the reference operators' per-shard pricing
 # ----------------------------------------------------------------------
+
+_STAGE_DYNAMIC = {
+    "stage1-fetch": (),
+    "stage2-compute": ("shared_atomics",),
+    "stage3-update": ("store_transactions", "store_bytes_requested"),
+    "stage4-writeback": (),
+}
+
 
 def predict_cusha_stages(
     cw: ConcatenatedWindows,
@@ -177,81 +185,13 @@ def predict_cusha_stages(
     ebytes: int = 0,
     warp: int = 32,
 ) -> dict[str, StagePrediction]:
-    """Per-sweep stage costs of the CuSha pipeline, from the arrays alone.
-
-    Mirrors the reference per-shard pricing (paper Figure 5 stages) with
-    the simple one-range primitives: per shard, stage 1/3 fetch the
-    vertex slice, stage 2 streams the SoA entry fields and pays atomic
-    bank-conflict replays, stage 4 is a warp-per-window walk (``gs``) or
-    a thread-per-CW-entry scatter through the Mapper (``cw``).
-    """
-    sh = cw.shards
-    S = sh.num_shards
-    st1, st2, st3, st4 = (KernelStats() for _ in range(4))
-    for i in range(S):
-        lo, hi = sh.vertex_range(i)
-        n_i = hi - lo
-        m_i = sh.shard_size(i)
-        o = int(sh.shard_offsets[i])
-        vv_load = contiguous_transactions(
-            n_i, vbytes, start_byte=lo * vbytes, warp_size=warp,
-            transaction_bytes=LOAD_GRANULARITY_BYTES)
-        st1.add_load(vv_load)
-        st1.add_lanes(*slots_for_contiguous(n_i, warp),
-                      instructions_per_row=costs.INSTR_INIT)
-        for b in (vbytes, 4, sbytes, ebytes):
-            if b:
-                st2.add_load(contiguous_transactions(
-                    m_i, b, start_byte=o * b, warp_size=warp,
-                    transaction_bytes=LOAD_GRANULARITY_BYTES))
-        st2.add_lanes(*slots_for_contiguous(m_i, warp),
-                      instructions_per_row=costs.INSTR_COMPUTE)
-        dest_local = sh.dest_index[o:o + m_i].astype(np.int64) - lo
-        st2.add_instructions(
-            conflict_replays(dest_local, warp_size=warp)
-            * costs.INSTR_ATOMIC_REPLAY)
-        st3.add_load(vv_load)
-        st3.add_lanes(*slots_for_contiguous(n_i, warp),
-                      instructions_per_row=costs.INSTR_UPDATE)
-        if mode == "gs":
-            starts = sh.window_offsets[:, i]
-            stops = sh.window_offsets[:, i + 1]
-            for j in np.flatnonzero(stops - starts):
-                w = int(stops[j] - starts[j])
-                s0 = int(starts[j])
-                st4.add_load(contiguous_transactions(
-                    w, 4, start_byte=s0 * 4, warp_size=warp,
-                    transaction_bytes=LOAD_GRANULARITY_BYTES))
-                st4.add_store(contiguous_transactions(
-                    w, vbytes, start_byte=s0 * vbytes, warp_size=warp,
-                    transaction_bytes=STORE_GRANULARITY_BYTES))
-                st4.add_lanes(*slots_for_contiguous(w, warp),
-                              instructions_per_row=costs.INSTR_WRITEBACK)
-            st4.add_load(contiguous_transactions(
-                S + 1, 8, warp_size=warp,
-                transaction_bytes=LOAD_GRANULARITY_BYTES))
-            st4.add_instructions(S * costs.INSTR_GS_WINDOW_SCAN)
-        else:
-            L = cw.cw_size(i)
-            cwo = int(cw.cw_offsets[i])
-            cw_read = contiguous_transactions(
-                L, 4, start_byte=cwo * 4, warp_size=warp,
-                transaction_bytes=LOAD_GRANULARITY_BYTES)
-            st4.add_load(cw_read)
-            st4.add_load(cw_read)
-            st4.add_store(gather_transactions(
-                cw.mapper[cw.cw_slice(i)], vbytes, warp_size=warp,
-                transaction_bytes=STORE_GRANULARITY_BYTES))
-            st4.add_lanes(*slots_for_contiguous(L, warp),
-                          instructions_per_row=costs.INSTR_WRITEBACK)
+    """Per-sweep stage costs of the CuSha pipeline, from the arrays alone:
+    the sums of :func:`~repro.frameworks.cusha.shard_pricing`, the
+    per-shard pricing the reference operator executes with."""
+    stages = shard_pricing(cw, mode, warp, vbytes, sbytes, ebytes)
     return {
-        "stage1-fetch": StagePrediction("stage1-fetch", st1),
-        "stage2-compute": StagePrediction(
-            "stage2-compute", st2, dynamic_fields=("shared_atomics",)),
-        "stage3-update": StagePrediction(
-            "stage3-update", st3,
-            dynamic_fields=("store_transactions", "store_bytes_requested")),
-        "stage4-writeback": StagePrediction("stage4-writeback", st4),
+        stage: StagePrediction(stage, sum(rows, KernelStats()), dynamic)
+        for (stage, dynamic), rows in zip(_STAGE_DYNAMIC.items(), stages)
     }
 
 
@@ -264,37 +204,20 @@ def predict_streamed_chunks(
     ebytes: int = 0,
     warp: int = 32,
 ) -> dict[str, StagePrediction]:
-    """Per-sweep static costs of the streamed engine's compute chunks.
+    """Per-sweep static costs of the streamed engine's compute chunks: the
+    per-chunk sums of the reference chunk loop's per-shard pricing.
 
     A chunk's kernel runs stages 1-2 for its shard range; stores and
     atomic ops are dynamic and excluded from the exact contract.
     """
-    sh = cw.shards
+    compute, _ = streamed._reference_pricing(cw, warp, vbytes, sbytes, ebytes)
     dynamic = ("store_transactions", "store_bytes_requested",
                "shared_atomics")
-    out: dict[str, StagePrediction] = {}
-    for k, (a, b) in enumerate(chunks):
-        st = KernelStats()
-        for i in range(a, b):
-            lo, hi = sh.vertex_range(i)
-            n_i = hi - lo
-            m_i = sh.shard_size(i)
-            o = int(sh.shard_offsets[i])
-            st.add_load(contiguous_transactions(
-                n_i, vbytes, start_byte=lo * vbytes, warp_size=warp,
-                transaction_bytes=LOAD_GRANULARITY_BYTES))
-            st.add_lanes(*slots_for_contiguous(n_i, warp),
-                         instructions_per_row=costs.INSTR_INIT)
-            for fb in (vbytes, 4, sbytes, ebytes):
-                if fb:
-                    st.add_load(contiguous_transactions(
-                        m_i, fb, start_byte=o * fb, warp_size=warp,
-                        transaction_bytes=LOAD_GRANULARITY_BYTES))
-            st.add_lanes(*slots_for_contiguous(m_i, warp),
-                         instructions_per_row=costs.INSTR_COMPUTE)
-        name = f"chunk-{k}-compute"
-        out[name] = StagePrediction(name, st, dynamic_fields=dynamic)
-    return out
+    return {
+        f"chunk-{k}-compute": StagePrediction(
+            f"chunk-{k}-compute", sum(compute[a:b], KernelStats()), dynamic)
+        for k, (a, b) in enumerate(chunks)
+    }
 
 
 def static_predictions(
@@ -302,28 +225,27 @@ def static_predictions(
 ) -> dict[str, StagePrediction]:
     """Per-sweep stage predictions for an engine's run over ``graph``.
 
-    CuSha and streamed predictions are derived independently here; VWC
-    predictions come from the engine's own static schedule export (its
-    three lockstep phases are re-emitted verbatim every iteration, so the
-    drift gate still pins the measured spans to them bit-for-bit).
-    Engines that model no GPU (mtcpu, scalar) predict nothing.
+    CuSha and streamed predictions are priced here from the reference
+    operators' per-shard pricing, which shares nothing with the fast
+    path's static bundle; VWC predictions come from the engine's own
+    static schedule export (its three lockstep phases are re-emitted
+    verbatim every iteration, so the drift gate still pins the measured
+    spans to them bit-for-bit).  Engines that model no GPU (mtcpu,
+    scalar) predict nothing.
     """
     cfg = config or RunConfig()
-    vbytes = program.vertex_value_bytes
-    sbytes = program.static_value_bytes
-    ebytes = program.edge_value_bytes
+    widths = dict(vbytes=program.vertex_value_bytes,
+                  sbytes=program.static_value_bytes,
+                  ebytes=program.edge_value_bytes)
     if isinstance(engine, CuShaEngine):
         (cw,) = engine.preflight_representations(graph, program, cfg)
-        return predict_cusha_stages(
-            cw, engine.mode, vbytes=vbytes, sbytes=sbytes, ebytes=ebytes,
-            warp=engine.spec.warp_size)
+        return predict_cusha_stages(cw, engine.mode,
+                                    warp=engine.spec.warp_size, **widths)
     if isinstance(engine, StreamedCuShaEngine):
         (cw,) = engine.preflight_representations(graph, program, cfg)
-        entry_bytes = 4 + vbytes + sbytes + ebytes + 4 + 4
-        chunks = engine._chunk_shards(cw, entry_bytes)
-        return predict_streamed_chunks(
-            cw, chunks, vbytes=vbytes, sbytes=sbytes, ebytes=ebytes,
-            warp=engine.spec.warp_size)
+        chunks = engine._chunk_shards(cw, streamed._entry_bytes(program))
+        return predict_streamed_chunks(cw, chunks,
+                                       warp=engine.spec.warp_size, **widths)
     if isinstance(engine, VWCEngine):
         phases = engine.predicted_stage_stats(graph, program)
         return {k: StagePrediction(k, v) for k, v in phases.items()}
@@ -331,8 +253,51 @@ def static_predictions(
 
 
 # ----------------------------------------------------------------------
-# Static audit (P301-P308)
+# Static audit (P301-P309)
 # ----------------------------------------------------------------------
+
+def _shard_rows_check(
+    cw: ConcatenatedWindows, code: str, what: str, subject: str, *,
+    warp: int, vbytes: int, sbytes: int, ebytes: int,
+) -> list[Violation]:
+    """``P308``/``P309``: every per-shard row of the fast path's static
+    bundle equals the reference per-shard pricing, in both modes.
+
+    A ``frontier="sparse"`` iteration charges the rows of exactly the
+    shards it processes, so row equality (not just equal sums) is what
+    makes skipping a quiescent shard subtract exactly that shard's cost.
+    """
+    out: list[Violation] = []
+    for mode in ("cw", "gs"):
+        bundle = cusha_static_bundle(cw, mode, warp, vbytes, sbytes, ebytes)
+        *stages, replays = shard_pricing(cw, mode, warp, vbytes, sbytes,
+                                         ebytes)
+        checks = [
+            (stage, got, [[getattr(st, f) for f in STAT_FIELDS] for st in rows],
+             STAT_FIELDS)
+            for stage, got, rows in zip(
+                _STAGE_DYNAMIC, (bundle.stage1, bundle.stage2, bundle.stage3,
+                                 bundle.stage4), stages)
+        ]
+        checks.append(("replays", bundle.replays[:, None],
+                       [[r] for r in replays], ("replays",)))
+        for stage, got, want, fields in checks:
+            want = np.asarray(want, dtype=np.float64).reshape(got.shape)
+            bad = np.flatnonzero((got != want).any(axis=1))
+            if bad.size:
+                i = int(bad[0])
+                diffs = ", ".join(
+                    f"{f}: {float(got[i, k])} != {float(want[i, k])}"
+                    for k, f in enumerate(fields) if got[i, k] != want[i, k])
+                out.append(Violation(
+                    code,
+                    f"{what} per-shard pricing for {mode}/{stage} differs "
+                    f"from the reference pricing on {bad.size} of "
+                    f"{len(got)} shards (shard {i}: {diffs})",
+                    subject=subject,
+                ))
+    return out
+
 
 def audit_cw(
     cw: ConcatenatedWindows,
@@ -347,7 +312,6 @@ def audit_cw(
     """Assert the paper's performance contract over one CW structure."""
     out: list[Violation] = []
     sh = cw.shards
-    S = sh.num_shards
     E = cw.num_edges
     warp = spec.warp_size
     N = cw.vertices_per_shard
@@ -407,15 +371,10 @@ def audit_cw(
         ))
 
     # P305 — stage-2 atomic replays vs the fully serialized worst case.
-    replays = 0
-    rows2 = 0
-    for i in range(S):
-        o = int(sh.shard_offsets[i])
-        m_i = sh.shard_size(i)
-        lo, _hi = sh.vertex_range(i)
-        dest_local = sh.dest_index[o:o + m_i].astype(np.int64) - lo
-        replays += conflict_replays(dest_local, warp_size=warp)
-        rows2 += -(-m_i // warp) if m_i else 0
+    stage1, stage2, _, stage4, shard_replays = shard_pricing(
+        cw, "cw", warp, vbytes, sbytes, ebytes)
+    replays = sum(shard_replays)
+    rows2 = int((-(-np.diff(sh.shard_offsets) // warp)).sum())
     frac = replay_fraction(replays, rows2, warp_size=warp)
     if rows2 >= budgets.REPLAY_WARN_MIN_ROWS and \
             frac >= budgets.REPLAY_WARN_FRACTION:
@@ -428,11 +387,9 @@ def audit_cw(
             severity="warning",
         ))
 
-    # P306 / P307 need the per-stage predictions (cheap at audit sizes).
-    preds = predict_cusha_stages(
-        cw, "cw", vbytes=vbytes, sbytes=sbytes, ebytes=ebytes, warp=warp)
-    for stage in ("stage1-fetch", "stage2-compute"):
-        eff = preds[stage].stats.gld_efficiency
+    # P306 — coalesced stage-1/2 loads.
+    for stage, rows in (("stage1-fetch", stage1), ("stage2-compute", stage2)):
+        eff = sum(rows, KernelStats()).gld_efficiency
         if eff < budgets.STAGE_LOAD_EFFICIENCY_FLOOR:
             out.append(Violation(
                 "P306",
@@ -446,7 +403,7 @@ def audit_cw(
     # nonzero window is a contiguous ascending SrcValue run costing at
     # most ceil(bytes/128)+1 store transactions, plus at most one extra
     # per warp row for runs split at row boundaries.
-    predicted_tx = preds["stage4-writeback"].stats.store_transactions
+    predicted_tx = sum(st.store_transactions for st in stage4)
     bound = int(
         (-(-(nz * vbytes) // STORE_GRANULARITY_BYTES)).sum()
         + nz.size
@@ -461,36 +418,21 @@ def audit_cw(
             subject=subject,
         ))
 
-    # P308 — frontier-gated sweep pricing.  A frontier="sparse" iteration
-    # charges the row sums of the per-shard static matrices over the
-    # shards it actually processes; with every shard active those sums
-    # must reproduce this module's independent full-sweep prediction
-    # field-for-field, so skipping a quiescent shard subtracts exactly
-    # that shard's cost and an all-active sparse sweep prices identically
-    # to frontier="off".
-    from repro.frameworks.wavebatch import cusha_static_bundle, stats_from_row
-    for mode in ("cw", "gs"):
-        bundle = cusha_static_bundle(cw, mode, warp, vbytes, sbytes, ebytes)
-        mode_preds = preds if mode == "cw" else predict_cusha_stages(
-            cw, mode, vbytes=vbytes, sbytes=sbytes, ebytes=ebytes, warp=warp)
-        for mat, key in (
-            (bundle.stage1, "stage1-fetch"),
-            (bundle.stage2, "stage2-compute"),
-            (bundle.stage3, "stage3-update"),
-            (bundle.stage4, "stage4-writeback"),
-        ):
-            summed = stats_from_row(mat.sum(axis=0))
-            bad = field_diffs(summed, mode_preds[key].stats)
-            if bad:
-                out.append(Violation(
-                    "P308",
-                    f"frontier per-shard pricing for {mode}/{key} does "
-                    "not sum to the full-sweep prediction: "
-                    + ", ".join(f"{f}: {a} != {b}"
-                                for f, (a, b) in sorted(bad.items())),
-                    subject=subject,
-                ))
+    # P308 — frontier-gated sweep pricing: the fast path's per-shard rows
+    # are the reference pricing, shard for shard.
+    out.extend(_shard_rows_check(cw, "P308", "frontier", subject, warp=warp,
+                                 vbytes=vbytes, sbytes=sbytes, ebytes=ebytes))
     return out
+
+
+def _audited_cws(engine, graph, program, cfg):
+    """The CW structure of every CW / G-Shards representation ``engine``
+    is about to execute over."""
+    for rep in engine.preflight_representations(graph, program, cfg):
+        if isinstance(rep, ConcatenatedWindows):
+            yield rep
+        elif isinstance(rep, GShards):
+            yield ConcatenatedWindows(rep)
 
 
 def perf_audit(
@@ -512,13 +454,7 @@ def perf_audit(
         return out
     tpb = getattr(engine, "threads_per_block", 512)
     subject = f"{engine.name}/{program.name}"
-    for rep in engine.preflight_representations(graph, program, cfg):
-        if isinstance(rep, ConcatenatedWindows):
-            cw = rep
-        elif isinstance(rep, GShards):
-            cw = ConcatenatedWindows(rep)
-        else:
-            continue
+    for cw in _audited_cws(engine, graph, program, cfg):
         out.extend(audit_cw(
             cw,
             vbytes=program.vertex_value_bytes,
@@ -538,10 +474,10 @@ def narrowed_audit(
 ) -> list[Violation]:
     """``P309``: static predictions at proven narrowed widths stay exact.
 
-    When the range certificates justify a narrowing plan, the per-shard
-    static cost matrices priced at the *narrowed* ``vertex_value_bytes``
-    must row-sum to the independent full-sweep prediction at the same
-    widths, field-for-field — the same closure property P308 holds at the
+    When the range certificates justify a narrowing plan, every per-shard
+    row of the fast path's static bundle priced at the *narrowed*
+    ``vertex_value_bytes`` must equal the reference per-shard pricing at
+    the same widths, field-for-field — the check P308 makes at the
     declared widths.  This is what lets the auditor hand the tighter byte
     bounds to the narrowed fast path without a second pricing model.
     """
@@ -571,41 +507,11 @@ def narrowed_audit(
             subject=subject,
         ))
         return out
-    sbytes = narrowed.static_value_bytes
-    ebytes = narrowed.edge_value_bytes
-    warp = spec.warp_size
-    from repro.frameworks.wavebatch import cusha_static_bundle, stats_from_row
-    for rep in engine.preflight_representations(graph, program, cfg):
-        if isinstance(rep, ConcatenatedWindows):
-            cw = rep
-        elif isinstance(rep, GShards):
-            cw = ConcatenatedWindows(rep)
-        else:
-            continue
-        for mode in ("cw", "gs"):
-            bundle = cusha_static_bundle(
-                cw, mode, warp, vbytes, sbytes, ebytes)
-            preds = predict_cusha_stages(
-                cw, mode, vbytes=vbytes, sbytes=sbytes, ebytes=ebytes,
-                warp=warp)
-            for mat, key in (
-                (bundle.stage1, "stage1-fetch"),
-                (bundle.stage2, "stage2-compute"),
-                (bundle.stage3, "stage3-update"),
-                (bundle.stage4, "stage4-writeback"),
-            ):
-                summed = stats_from_row(mat.sum(axis=0))
-                bad = field_diffs(summed, preds[key].stats)
-                if bad:
-                    out.append(Violation(
-                        "P309",
-                        f"narrowed per-shard pricing for {mode}/{key} "
-                        "does not sum to the narrowed full-sweep "
-                        "prediction: "
-                        + ", ".join(f"{f}: {a} != {b}"
-                                    for f, (a, b) in sorted(bad.items())),
-                        subject=subject,
-                    ))
+    for cw in _audited_cws(engine, graph, program, cfg):
+        out.extend(_shard_rows_check(
+            cw, "P309", "narrowed", subject, warp=spec.warp_size,
+            vbytes=vbytes, sbytes=narrowed.static_value_bytes,
+            ebytes=narrowed.edge_value_bytes))
     return out
 
 

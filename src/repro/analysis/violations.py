@@ -213,15 +213,16 @@ CODES: dict[str, tuple[str, str]] = {
     ),
     "P308": (
         "perf-frontier-decomposition",
-        "the per-shard static cost matrices do not row-sum exactly to "
-        "the full-sweep prediction, so frontier-gated sparse sweeps "
-        "would mis-price skipped shards",
+        "a row of the fast path's per-shard static cost matrices differs "
+        "from the reference per-shard pricing, so frontier-gated sparse "
+        "sweeps would mis-price skipped shards",
     ),
     "P309": (
         "perf-narrowed-decomposition",
-        "the per-shard static cost matrices computed at a narrowed "
-        "vertex-value width do not row-sum exactly to the narrowed "
-        "full-sweep prediction, so narrow='auto' runs would be mispriced",
+        "a row of the per-shard static cost matrices computed at a "
+        "narrowed vertex-value width differs from the reference "
+        "per-shard pricing at that width, so narrow='auto' runs would "
+        "be mispriced",
     ),
     "P310": (
         "perf-cost-contract",

@@ -19,7 +19,7 @@ semantics of e.g. ``dict``-style lookup failures — are unchanged::
     ├── EngineKeyError          (also KeyError)       unknown make_engine key
     ├── GraphFormatError        (also ValueError)     unreadable graph file
     ├── ValidationError         (also RuntimeError)   analysis preflight errors
-    ├── ConfigError             (also ValueError)     invalid RunConfig knobs
+    ├── ConfigError             (also ValueError)     invalid knobs or seeds
     ├── CertificationError      (also RuntimeError)   kernel certificate refused
     ├── InjectedFault           (also RuntimeError)   simulated GPU faults
     │   ├── TransferFault
@@ -117,10 +117,12 @@ class ConfigError(ReproError, ValueError):
     """Raised by :class:`repro.frameworks.RunConfig` at construction when a
     knob value is out of range or two knobs are statically incompatible
     (e.g. ``resume_frontier`` without ``frontier``, ``certify="enforce"``
-    with ``validate="off"``).
+    with ``validate="off"``), and by :func:`repro.algorithms.make_program`
+    for a seeded vertex outside the graph.
 
     ``knob`` names the offending field (or the first field of an invalid
-    pair) so callers can point at the right argument.
+    pair, or the program argument) so callers can point at the right
+    argument.
     """
 
     def __init__(self, message: str, *, knob: str = "") -> None:

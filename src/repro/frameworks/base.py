@@ -125,6 +125,9 @@ _INVALID_COMBOS: tuple[tuple[str, Callable, str], ...] = (
     ("certify",
      lambda c: c.certify not in ("off", "warn", "enforce"),
      "certify must be 'off', 'warn', or 'enforce'"),
+    ("max_iterations",
+     lambda c: c.max_iterations < 1,
+     "max_iterations must be >= 1"),
     ("start_iteration",
      lambda c: c.start_iteration < 0,
      "start_iteration must be >= 0"),

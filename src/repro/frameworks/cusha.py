@@ -53,6 +53,11 @@ runs the same step over its single whole-iteration wave.  Hardware pricing uses 
 segmented helpers so warp rows never span shard boundaries.
 ``"reference"`` keeps the per-shard loop, with the literal ``SrcValue``
 array and write-back, as the oracle the fast operator is gated against.
+Its kernel step (:func:`shard_kernel`) and its static pricing
+(:func:`shard_pricing`, Figure 5's four stages per shard from the simple
+one-range primitives) are also written once here: the streamed reference
+operator runs them too, and the drift gate in
+:mod:`repro.analysis.perf` prices its predictions from the same function.
 """
 
 from __future__ import annotations
@@ -83,7 +88,8 @@ from repro.gpu.sharedmem import conflict_replays
 from repro.gpu.warp import slots_for_contiguous, slots_for_segments
 from repro.vertexcentric.program import VertexProgram, apply_reductions
 
-__all__ = ["CuShaEngine", "entry_arrays", "pack_shards", "wave_kernel"]
+__all__ = ["CuShaEngine", "entry_arrays", "pack_shards", "shard_blocks",
+           "shard_kernel", "shard_pricing", "wave_kernel"]
 
 _STAGES = ("stage1-fetch", "stage2-compute", "stage3-update",
            "stage4-writeback")
@@ -193,6 +199,136 @@ def wave_kernel(program, values: np.ndarray, entries: tuple, vsel, esel,
     )
     final, upd = program.apply(local, old)
     return ops, changed, mask, np.flatnonzero(upd), final[upd]
+
+
+# ----------------------------------------------------------------------
+# The per-shard reference operators' building blocks, shared with the
+# streamed engine and with the drift gate (repro.analysis.perf).  They use
+# only the simple one-range primitives and nothing of wavebatch.py, so
+# they stay an independent check of the fast path's segmented pricing.
+# ----------------------------------------------------------------------
+def shard_blocks(sh) -> list[tuple[int, int, slice, np.ndarray]]:
+    """``(lo, hi, entries, dest_local)`` of every shard: its vertex range,
+    its entry slice and its destination indices rebased to ``lo``."""
+    blocks = []
+    for i in range(sh.num_shards):
+        lo, hi = sh.vertex_range(i)
+        o = int(sh.shard_offsets[i])
+        sl = slice(o, o + sh.shard_size(i))
+        blocks.append((lo, hi, sl, sh.dest_index[sl].astype(np.int64) - lo))
+    return blocks
+
+
+def shard_pricing(
+    cw: ConcatenatedWindows, mode: str, warp: int, vbytes: int, sbytes: int,
+    ebytes: int,
+) -> tuple[list[KernelStats], list[KernelStats], list[KernelStats],
+           list[KernelStats], list[int]]:
+    """The static price of every shard in Figure 5's four stages.
+
+    Returns ``(stage1, stage2, stage3, stage4, replays)``, one entry per
+    shard: stage 1/3 fetch the vertex slice, stage 2 streams the SoA entry
+    fields and pays ``replays`` shared-atomic bank-conflict rounds, and
+    stage 4 is a warp-per-window walk (``gs``) or a thread-per-CW-entry
+    scatter through the Mapper (``cw``).  Stage 3's stores and stage 2's
+    atomics depend on the data and are charged by the kernels.
+    """
+    sh = cw.shards
+    S = sh.num_shards
+    loads = dict(warp_size=warp, transaction_bytes=LOAD_GRANULARITY_BYTES)
+    stores = dict(warp_size=warp, transaction_bytes=STORE_GRANULARITY_BYTES)
+    stages: tuple[list[KernelStats], ...] = ([], [], [], [])
+    replays: list[int] = []
+    for i, (lo, hi, sl, dest_local) in enumerate(shard_blocks(sh)):
+        st1, st2, st3, st4 = (KernelStats() for _ in range(4))
+        n_i = hi - lo
+        m_i = sl.stop - sl.start
+        vv_load = contiguous_transactions(n_i, vbytes, start_byte=lo * vbytes,
+                                          **loads)
+        # Stage 1: coalesced VertexValues fetch.
+        st1.add_load(vv_load)
+        st1.add_lanes(*slots_for_contiguous(n_i, warp),
+                      instructions_per_row=costs.INSTR_INIT)
+        # Stage 2: coalesced shard-entry loads (SoA field arrays: SrcValue,
+        # DestIndex, then the optional static / edge fields).  Destination
+        # indices that collide modulo the bank count serialize the
+        # shared-memory atomics within a warp round.
+        for b in filter(None, (vbytes, 4, sbytes, ebytes)):
+            st2.add_load(contiguous_transactions(
+                m_i, b, start_byte=sl.start * b, **loads))
+        st2.add_lanes(*slots_for_contiguous(m_i, warp),
+                      instructions_per_row=costs.INSTR_COMPUTE)
+        replays.append(conflict_replays(dest_local, warp_size=warp))
+        st2.add_instructions(replays[-1] * costs.INSTR_ATOMIC_REPLAY)
+        # Stage 3: coalesced VertexValues read (stores are dynamic).
+        st3.add_load(vv_load)
+        st3.add_lanes(*slots_for_contiguous(n_i, warp),
+                      instructions_per_row=costs.INSTR_UPDATE)
+        # Stage 4 (charged only on iterations where the shard updates).
+        if mode == "gs":
+            starts = sh.window_offsets[:, i]
+            stops = sh.window_offsets[:, i + 1]
+            st4.add_load(_window_rows_transactions(starts, stops, 4, **loads))
+            st4.add_store(_window_rows_transactions(starts, stops, vbytes,
+                                                    **stores))
+            st4.add_lanes(*slots_for_segments(stops - starts, warp),
+                          instructions_per_row=costs.INSTR_WRITEBACK)
+            # The warps must visit every window W_ij — including empty
+            # ones — to read its bounds and decide whether to copy: a
+            # per-shard cost linear in S (quadratic per iteration) that CW
+            # eliminates.  Bounds live in a transposed, contiguous offsets
+            # row.
+            st4.add_load(contiguous_transactions(S + 1, 8, **loads))
+            st4.add_instructions(S * costs.INSTR_GS_WINDOW_SCAN)
+        else:
+            L = cw.cw_size(i)
+            # SrcIndex and Mapper are both contiguous 4-byte reads over the
+            # same CW slot range, so their pricing is identical: compute
+            # once, charge twice.  The SrcValue stores scatter through the
+            # mapper.
+            cw_read = contiguous_transactions(
+                L, 4, start_byte=int(cw.cw_offsets[i]) * 4, **loads)
+            st4.add_load(cw_read)
+            st4.add_load(cw_read)
+            st4.add_store(gather_transactions(
+                cw.mapper[cw.cw_slice(i)], vbytes, **stores))
+            st4.add_lanes(*slots_for_contiguous(L, warp),
+                          instructions_per_row=costs.INSTR_WRITEBACK)
+        for stage, st in zip(stages, (st1, st2, st3, st4)):
+            stage.append(st)
+    return (*stages, replays)
+
+
+def shard_kernel(program, values: np.ndarray, entries: tuple, block: tuple,
+                 track: bool) -> tuple:
+    """One reference CuSha block over one shard, the per-shard counterpart
+    of :func:`wave_kernel`.
+
+    ``entries`` is ``(src_value, src_static, edge_vals)`` with the literal
+    ``SrcValue`` array, and ``block`` one :func:`shard_blocks` row.  Runs
+    ``messages`` -> ``apply_reductions`` -> ``apply`` and stores the
+    updated vertices into ``values``.  Returns ``(ops, changed, idx)``:
+    the reduction ops, the changed-row mask (``track`` only) and the
+    updated vertex ids.
+    """
+    src_value, src_static, edge_vals = entries
+    lo, hi, sl, dest_local = block
+    old = values[lo:hi]
+    local = program.init_local(old)
+    msgs, mask = program.messages(
+        src_value[sl],
+        None if src_static is None else src_static[sl],
+        None if edge_vals is None else edge_vals[sl],
+        old[dest_local],
+    )
+    ops, changed = apply_reductions(
+        program, local, dest_local, msgs, mask, track_changed=track
+    )
+    final, upd = program.apply(local, old)
+    idx = lo + np.flatnonzero(upd)
+    if idx.size:
+        values[idx] = final[upd]
+    return ops, changed, idx
 
 
 class CuShaEngine(Engine):
@@ -589,117 +725,25 @@ class CuShaEngine(Engine):
         sh = cw.shards
         S = sh.num_shards
         vbytes = program.vertex_value_bytes
-        sbytes = program.static_value_bytes
-        ebytes = program.edge_value_bytes
         warp = self.spec.warp_size
 
         # ----- device arrays -------------------------------------------------
         vertex_values = config.initial_values(graph, program)
-        static_all = program.static_values(graph)
-        src_value = vertex_values[sh.src_index].copy()
-        src_static = None if static_all is None else static_all[sh.src_index]
-        ev = program.edge_values(graph)
-        edge_vals = None if ev is None else ev[sh.edge_positions]
+        src_index, src_static, edge_vals = entry_arrays(graph, program, sh)
+        src_value = vertex_values[src_index]
+        entries = (src_value, src_static, edge_vals)
         entries_per_shard = np.diff(sh.shard_offsets)
+        blocks = shard_blocks(sh)
 
         # ----- static per-iteration hardware stats (split per stage) ---------
         # Per-shard resolution throughout (frontier-gated iterations charge
         # only the shards they process); aggregates are exact sums.
-        stage1 = [KernelStats() for _ in range(S)]
-        stage2 = [KernelStats() for _ in range(S)]
-        stage3 = [KernelStats() for _ in range(S)]
-        stage4 = [KernelStats() for _ in range(S)]
-        # Loop invariants of the iteration loop, computed once: vertex
-        # ranges, entry slices, rebased destination indices, CW slices.
-        shard_meta: list[tuple[int, int, slice, np.ndarray, slice]] = []
-        for i in range(S):
-            lo, hi = sh.vertex_range(i)
-            n_i = hi - lo
-            m_i = sh.shard_size(i)
-            o = int(sh.shard_offsets[i])
-            sl_i = slice(o, o + m_i)
-            dest_local = sh.dest_index[sl_i].astype(np.int64) - lo
-            shard_meta.append((lo, hi, sl_i, dest_local, cw.cw_slice(i)))
-            st1, st2, st3 = stage1[i], stage2[i], stage3[i]
-            # Stage 1: coalesced VertexValues fetch.
-            st1.add_load(
-                contiguous_transactions(n_i, vbytes, start_byte=lo * vbytes,
-                                        warp_size=warp,
-                                        transaction_bytes=LOAD_GRANULARITY_BYTES)
-            )
-            st1.add_lanes(*slots_for_contiguous(n_i, warp),
-                          instructions_per_row=costs.INSTR_INIT)
-            # Stage 2: coalesced shard-entry loads (SoA field arrays).
-            for b in (vbytes, 4):  # SrcValue, DestIndex
-                st2.add_load(contiguous_transactions(
-                    m_i, b, start_byte=o * b, warp_size=warp,
-                    transaction_bytes=LOAD_GRANULARITY_BYTES))
-            if sbytes:
-                st2.add_load(contiguous_transactions(
-                    m_i, sbytes, start_byte=o * sbytes, warp_size=warp,
-                    transaction_bytes=LOAD_GRANULARITY_BYTES))
-            if ebytes:
-                st2.add_load(contiguous_transactions(
-                    m_i, ebytes, start_byte=o * ebytes, warp_size=warp,
-                    transaction_bytes=LOAD_GRANULARITY_BYTES))
-            st2.add_lanes(*slots_for_contiguous(m_i, warp),
-                          instructions_per_row=costs.INSTR_COMPUTE)
-            # Shared-memory atomic bank conflicts: destination indices that
-            # collide modulo the bank count serialize within a warp round.
-            replays = conflict_replays(dest_local, warp_size=warp)
-            st2.add_instructions(replays * costs.INSTR_ATOMIC_REPLAY)
-            # Stage 3: coalesced VertexValues read (stores are dynamic).
-            st3.add_load(
-                contiguous_transactions(n_i, vbytes, start_byte=lo * vbytes,
-                                        warp_size=warp,
-                                        transaction_bytes=LOAD_GRANULARITY_BYTES)
-            )
-            st3.add_lanes(*slots_for_contiguous(n_i, warp),
-                          instructions_per_row=costs.INSTR_UPDATE)
-            # Stage 4 (charged only on iterations where the shard updates).
-            st4 = stage4[i]
-            if self.mode == "gs":
-                starts = sh.window_offsets[:, i].copy()
-                stops = sh.window_offsets[:, i + 1].copy()
-                st4.add_load(_window_rows_transactions(
-                    starts, stops, 4, warp_size=warp,
-                    transaction_bytes=LOAD_GRANULARITY_BYTES))
-                st4.add_store(_window_rows_transactions(
-                    starts, stops, vbytes, warp_size=warp,
-                    transaction_bytes=STORE_GRANULARITY_BYTES))
-                active, total = slots_for_segments(stops - starts, warp)
-                st4.add_lanes(active, total,
-                              instructions_per_row=costs.INSTR_WRITEBACK)
-                # The warps must visit every window W_ij — including empty
-                # ones — to read its bounds and decide whether to copy: a
-                # per-shard cost linear in S (quadratic per iteration) that
-                # CW eliminates.  Bounds live in a transposed, contiguous
-                # offsets row.
-                st4.add_load(contiguous_transactions(
-                    S + 1, 8, warp_size=warp,
-                    transaction_bytes=LOAD_GRANULARITY_BYTES))
-                st4.add_instructions(S * costs.INSTR_GS_WINDOW_SCAN)
-            else:
-                L = cw.cw_size(i)
-                cwo = int(cw.cw_offsets[i])
-                # SrcIndex and Mapper are both contiguous 4-byte reads over
-                # the same CW slot range, so their pricing is identical:
-                # compute once, charge twice.  The SrcValue stores scatter
-                # through the mapper.
-                cw_read = contiguous_transactions(
-                    L, 4, start_byte=cwo * 4, warp_size=warp,
-                    transaction_bytes=LOAD_GRANULARITY_BYTES)
-                st4.add_load(cw_read)
-                st4.add_load(cw_read)
-                st4.add_store(gather_transactions(
-                    cw.mapper[cw.cw_slice(i)], vbytes, warp_size=warp,
-                    transaction_bytes=STORE_GRANULARITY_BYTES))
-                st4.add_lanes(*slots_for_contiguous(L, warp),
-                              instructions_per_row=costs.INSTR_WRITEBACK)
+        stage1, stage2, stage3, stage4, _ = shard_pricing(
+            cw, self.mode, warp, vbytes, program.static_value_bytes,
+            program.edge_value_bytes)
         base1 = sum(stage1, KernelStats())
         base2 = sum(stage2, KernelStats())
         base3 = sum(stage3, KernelStats())
-        base = base1 + base2 + base3
 
         shared_bytes = shared_mem_per_block(N, vbytes)
         occ = occupancy(self.spec, shared_bytes, self.threads_per_block)
@@ -725,18 +769,11 @@ class CuShaEngine(Engine):
                 active_vertices = 0
                 processed_shards = 0
                 if push:
-                    iter_stats = KernelStats()
-                    s1_it = KernelStats()
-                    s2_it = KernelStats()
-                    s3_it = KernelStats()
-                elif frontier_on:
-                    iter_stats = base.copy()
-                    s1_it = base1.copy()
-                    s2_it = base2.copy()
-                    s3_it = base3.copy()
+                    s1_it, s2_it, s3_it = (KernelStats() for _ in range(3))
                 else:
-                    iter_stats = base.copy()
-                iter_stats.kernel_launches = 1
+                    s1_it, s2_it, s3_it = (s.copy() for s in (base1, base2,
+                                                              base3))
+                iter_stats = KernelStats(kernel_launches=1)
                 if trace_on:
                     # Per-iteration dynamic deltas, tracked only when a real
                     # tracer is attached so untraced runs do no extra work.
@@ -763,21 +800,8 @@ class CuShaEngine(Engine):
                                 s1_it += stage1[i]
                                 s2_it += stage2[i]
                                 s3_it += stage3[i]
-                                iter_stats += stage1[i]
-                                iter_stats += stage2[i]
-                                iter_stats += stage3[i]
-                        lo, hi, sl, dest_local, _csl = shard_meta[i]
-                        old = vertex_values[lo:hi]
-                        local = program.init_local(old)
-                        msgs, mask = program.messages(
-                            src_value[sl],
-                            None if src_static is None else src_static[sl],
-                            None if edge_vals is None else edge_vals[sl],
-                            old[dest_local],
-                        )
-                        ops, changed = apply_reductions(
-                            program, local, dest_local, msgs, mask,
-                            track_changed=track,
+                        ops, changed, idx = shard_kernel(
+                            program, vertex_values, entries, blocks[i], track
                         )
                         if track and changed is not None:
                             active_vertices += int(changed.sum())
@@ -785,11 +809,7 @@ class CuShaEngine(Engine):
                         stage2_dynamic.add_atomics(shared=ops)
                         if trace_on:
                             dyn2.add_atomics(shared=ops)
-                        final, upd = program.apply(local, old)
-                        n_upd = int(upd.sum())
-                        if n_upd:
-                            idx = lo + np.flatnonzero(upd)
-                            vertex_values[idx] = final[upd]
+                        if idx.size:
                             store_tc = gather_transactions(
                                 idx, vbytes, warp_size=warp,
                                 transaction_bytes=STORE_GRANULARITY_BYTES)
@@ -797,7 +817,7 @@ class CuShaEngine(Engine):
                             stage3_dynamic.add_store(store_tc)
                             if trace_on:
                                 dyn3.add_store(store_tc)
-                            updated_total += n_upd
+                            updated_total += idx.size
                             updated_shards.append(i)
                             pending_writeback.append(i)
                             if frontier_on:
@@ -808,7 +828,7 @@ class CuShaEngine(Engine):
                             pending_writeback.append(i)
                     if (i + 1) % wave_size == 0 or i == S - 1:
                         for j in pending_writeback:
-                            csl = shard_meta[j][4]
+                            csl = cw.cw_slice(j)
                             src_value[cw.mapper[csl]] = vertex_values[
                                 cw.cw_src_index[csl]
                             ]
@@ -824,6 +844,7 @@ class CuShaEngine(Engine):
                             np.asarray(mdr_processed, dtype=np.int64)
                         )
                     mdr.note_updated(np.asarray(updated_shards, dtype=np.int64))
+                iter_stats += s1_it + s2_it + s3_it
                 for i in updated_shards:
                     iter_stats += stage4[i]
                     stage4_total += stage4[i]
@@ -835,16 +856,9 @@ class CuShaEngine(Engine):
                     stage3_run += s3_it
                 stages = []
                 if trace_on:
-                    if frontier_on:
-                        stages = self._stage_spans(
-                            occ, s1_it.copy(), s2_it + dyn2, s3_it + dyn3,
-                            st4_iter,
-                        )
-                    else:
-                        stages = self._stage_spans(
-                            occ, base1.copy(), base2 + dyn2, base3 + dyn3,
-                            st4_iter,
-                        )
+                    stages = self._stage_spans(
+                        occ, s1_it, s2_it + dyn2, s3_it + dyn3, st4_iter
+                    )
                 yield SweepStep(
                     updated_total,
                     iter_stats,

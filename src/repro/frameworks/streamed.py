@@ -43,18 +43,23 @@ per-chunk pricing: the per-shard stats are summed per chunk, so the
 per-chunk compute times feeding the overlap model are those of the chunk
 loop.  ``"reference"`` keeps the original per-shard chunk loop, with the
 literal ``SrcValue`` array and write-back, as the oracle the fast operator
-is gated against.
+is gated against.  It runs CuSha's per-shard kernel step
+(:func:`repro.frameworks.cusha.shard_kernel`) and prices from CuSha-CW's
+per-shard reference pricing (:func:`repro.frameworks.cusha.shard_pricing`)
+with the same derivation the fast path applies to the bundle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from dataclasses import replace
 
 import numpy as np
 
 from repro.cache import counted, resolve_cache
 from repro.frameworks.base import Engine, RunConfig, RunResult
 from repro.frameworks.cusha import (CuShaEngine, entry_arrays, pack_shards,
+                                    shard_blocks, shard_kernel, shard_pricing,
                                     wave_kernel)
 from repro.frameworks.sweep import (SweepContext, SweepPlan, SweepStep,
                                     run_sweeps)
@@ -64,13 +69,11 @@ from repro.graph.digraph import DiGraph
 from repro.gpu.pcie import transfer_ms
 from repro.gpu.spec import GTX780, GPUSpec, PCIeSpec
 from repro.gpu.stats import KernelStats
-from repro.vertexcentric.program import VertexProgram, apply_reductions
-from repro.gpu.memory import (contiguous_transactions, gather_transactions,
-                              gather_transactions_segmented)
-from repro.gpu.stats import LOAD_GRANULARITY_BYTES, STORE_GRANULARITY_BYTES
+from repro.vertexcentric.program import VertexProgram
+from repro.gpu.memory import gather_transactions, gather_transactions_segmented
+from repro.gpu.stats import STORE_GRANULARITY_BYTES
 from repro.gpu.engine import KernelCostModel
 from repro.frameworks import costs
-from repro.gpu.warp import slots_for_contiguous
 
 __all__ = ["StreamedCuShaEngine"]
 
@@ -92,6 +95,25 @@ def _chunk_pricing(bundle, chunks: list[tuple[int, int]]) -> tuple:
     writeback = bundle.stage4.copy()
     writeback[:, :2] /= 2
     return shard_static, chunk_static, writeback
+
+
+def _reference_pricing(cw, warp: int, vbytes: int, sbytes: int,
+                       ebytes: int) -> tuple[list, list]:
+    """``(compute, writeback)`` per-shard stats of the reference chunk
+    loop: :func:`_chunk_pricing`'s derivation, applied to CuSha-CW's
+    per-shard :func:`~repro.frameworks.cusha.shard_pricing` instead of the
+    fast path's bundle."""
+    stage1, stage2, _, stage4, replays = shard_pricing(
+        cw, "cw", warp, vbytes, sbytes, ebytes)
+    compute = [st1 + st2 for st1, st2 in zip(stage1, stage2)]
+    for st, r in zip(compute, replays):
+        st.add_instructions(-r * costs.INSTR_ATOMIC_REPLAY)
+    writeback = [
+        replace(st4, load_transactions=st4.load_transactions // 2,
+                load_bytes_requested=st4.load_bytes_requested // 2)
+        for st4 in stage4
+    ]
+    return compute, writeback
 
 
 class StreamedCuShaEngine(Engine):
@@ -487,90 +509,20 @@ class StreamedCuShaEngine(Engine):
         cw, _, _, _ = self._lookup(graph, program, None, stats=False)
         sh = cw.shards
         vbytes = program.vertex_value_bytes
-        sbytes = program.static_value_bytes
-        ebytes = program.edge_value_bytes
         warp = self.spec.warp_size
         entry_bytes = _entry_bytes(program)
         chunks = self._chunk_shards(cw, entry_bytes)
         shard_entry_sizes = np.diff(sh.shard_offsets)
+        compute, writeback = _reference_pricing(
+            cw, warp, vbytes, program.static_value_bytes,
+            program.edge_value_bytes)
+        blocks = shard_blocks(sh)
 
         # Host-side state (the "disk" copy); device residency is modeled.
         vertex_values = config.initial_values(graph, program)
-        static_all = program.static_values(graph)
-        src_value = vertex_values[sh.src_index].copy()
-        src_static = None if static_all is None else static_all[sh.src_index]
-        ev = program.edge_values(graph)
-        edge_vals = None if ev is None else ev[sh.edge_positions]
-
-        def chunk_bytes(c: tuple[int, int]) -> int:
-            lo = int(sh.shard_offsets[c[0]])
-            hi = int(sh.shard_offsets[c[1]])
-            return (hi - lo) * entry_bytes
-
-        def chunk_compute(
-            c: tuple[int, int], frontier, push: bool, track: bool
-        ) -> tuple[KernelStats, int, list[int], list[np.ndarray], int, int]:
-            """Execute stages 1-3 for every (frontier-active) shard in the
-            chunk; returns the chunk's kernel stats, updated-vertex count,
-            updated shards, updated vertex indices, processed-shard count,
-            and changed-vertex count."""
-            stats = KernelStats()
-            updated = 0
-            upd_shards: list[int] = []
-            upd_idx: list[np.ndarray] = []
-            act_count = 0
-            changed_count = 0
-            for i in range(*c):
-                if push and not frontier.dirty[i]:
-                    frontier.shards_skipped += 1
-                    continue
-                if frontier_on:
-                    frontier.dirty[i] = False
-                    frontier.edges_processed += int(shard_entry_sizes[i])
-                act_count += 1
-                lo, hi = sh.vertex_range(i)
-                o = int(sh.shard_offsets[i])
-                m_i = sh.shard_size(i)
-                sl = slice(o, o + m_i)
-                old = vertex_values[lo:hi]
-                local = program.init_local(old)
-                dest_local = sh.dest_index[sl].astype(np.int64) - lo
-                msgs, mask = program.messages(
-                    src_value[sl],
-                    None if src_static is None else src_static[sl],
-                    None if edge_vals is None else edge_vals[sl],
-                    old[dest_local],
-                )
-                ops, changed = apply_reductions(
-                    program, local, dest_local, msgs, mask, track_changed=track
-                )
-                if track and changed is not None:
-                    changed_count += int(changed.sum())
-                stats.add_atomics(shared=ops)
-                n_i = hi - lo
-                stats.add_load(contiguous_transactions(
-                    n_i, vbytes, start_byte=lo * vbytes, warp_size=warp,
-                    transaction_bytes=LOAD_GRANULARITY_BYTES))
-                stats.add_lanes(*slots_for_contiguous(n_i, warp),
-                                instructions_per_row=costs.INSTR_INIT)
-                for b in filter(None, (vbytes, 4, sbytes, ebytes)):
-                    stats.add_load(contiguous_transactions(
-                        m_i, b, start_byte=o * b, warp_size=warp,
-                        transaction_bytes=LOAD_GRANULARITY_BYTES))
-                stats.add_lanes(*slots_for_contiguous(m_i, warp),
-                                instructions_per_row=costs.INSTR_COMPUTE)
-                final, upd = program.apply(local, old)
-                n_upd = int(upd.sum())
-                if n_upd:
-                    idx = lo + np.flatnonzero(upd)
-                    vertex_values[idx] = final[upd]
-                    stats.add_store(gather_transactions(
-                        idx, vbytes, warp_size=warp,
-                        transaction_bytes=STORE_GRANULARITY_BYTES))
-                    updated += n_upd
-                    upd_shards.append(i)
-                    upd_idx.append(idx)
-            return stats, updated, upd_shards, upd_idx, act_count, changed_count
+        src_index, src_static, edge_vals = entry_arrays(graph, program, sh)
+        src_value = vertex_values[src_index]
+        entries = (src_value, src_static, edge_vals)
 
         def chunk_sweeps(it: SweepContext) -> Iterator[tuple]:
             frontier, track, mdr = it.frontier, it.track, it.mdr
@@ -587,30 +539,44 @@ class StreamedCuShaEngine(Engine):
                     # == 0), so the dirty set is exactly the shards the
                     # chunk loop is about to process.
                     mdr.note_processed(np.flatnonzero(frontier.dirty))
-                for k, c in enumerate(chunks):
+                for k, (a, b) in enumerate(chunks):
+                    sizes = shard_entry_sizes[a:b]
                     if push:
-                        act_bits = frontier.dirty[c[0]:c[1]]
+                        act_bits = frontier.dirty[a:b]
                         if not act_bits.any():
                             # Quiescent chunk: no kernel launch and no H2D
                             # transfer at all.
-                            frontier.shards_skipped += c[1] - c[0]
+                            frontier.shards_skipped += b - a
                             continue
-                        cb = int(
-                            shard_entry_sizes[c[0]:c[1]][act_bits].sum()
-                        ) * entry_bytes
-                    else:
-                        cb = chunk_bytes(c)
-                    tr = transfer_ms(cb, self.pcie)
-                    stats, updated, upd_shards, upd_idx, act_count, ch_count = (
-                        chunk_compute(c, frontier, push, track)
-                    )
-                    if frontier_on:
-                        active_shard_count += act_count
-                    active_vertices += ch_count
-                    updated_total += updated
-                    updated_shards_all.extend(upd_shards)
-                    upd_idx_all.extend(upd_idx)
-                    ran.append((k, stats, tr, cb))
+                        sizes = sizes[act_bits]
+                    cb = int(sizes.sum()) * entry_bytes
+                    # Stages 1-3 of every (frontier-active) shard in the
+                    # chunk.
+                    stats = KernelStats()
+                    for i in range(a, b):
+                        if push and not frontier.dirty[i]:
+                            frontier.shards_skipped += 1
+                            continue
+                        if frontier_on:
+                            frontier.dirty[i] = False
+                            frontier.edges_processed += int(
+                                shard_entry_sizes[i])
+                            active_shard_count += 1
+                        ops, changed, idx = shard_kernel(
+                            program, vertex_values, entries, blocks[i], track
+                        )
+                        if track and changed is not None:
+                            active_vertices += int(changed.sum())
+                        stats.add_atomics(shared=ops)
+                        stats += compute[i]
+                        if idx.size:
+                            stats.add_store(gather_transactions(
+                                idx, vbytes, warp_size=warp,
+                                transaction_bytes=STORE_GRANULARITY_BYTES))
+                            updated_total += idx.size
+                            updated_shards_all.append(i)
+                            upd_idx_all.append(idx)
+                    ran.append((k, stats, transfer_ms(cb, self.pcie), cb))
                 if mdr is not None:
                     mdr.note_updated(
                         np.asarray(updated_shards_all, dtype=np.int64)
@@ -621,16 +587,7 @@ class StreamedCuShaEngine(Engine):
                 for i in updated_shards_all:
                     csl = cw.cw_slice(i)
                     src_value[cw.mapper[csl]] = vertex_values[cw.cw_src_index[csl]]
-                    L = cw.cw_size(i)
-                    cwo = int(cw.cw_offsets[i])
-                    wb_stats.add_load(contiguous_transactions(
-                        L, 4, start_byte=cwo * 4, warp_size=warp,
-                        transaction_bytes=LOAD_GRANULARITY_BYTES))
-                    wb_stats.add_store(gather_transactions(
-                        cw.mapper[csl], vbytes, warp_size=warp,
-                        transaction_bytes=STORE_GRANULARITY_BYTES))
-                    wb_stats.add_lanes(*slots_for_contiguous(L, warp),
-                                       instructions_per_row=costs.INSTR_WRITEBACK)
+                    wb_stats += writeback[i]
                 if frontier_on and upd_idx_all:
                     # Iteration-end flush: src_value now carries the new
                     # values, so mark the updaters' shards and everything

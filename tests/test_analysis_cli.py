@@ -111,5 +111,5 @@ class TestCheckCommand:
         rc = main(["check", "--selftest"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "48/48 fixtures fire" in out
-        assert "53 distinct violation codes" in out
+        assert "49/49 fixtures fire" in out
+        assert "54 distinct violation codes" in out

@@ -69,8 +69,9 @@ class TestCuShaMatrix:
         fast, ref = _run_both(eng, graph, program_name, max_iterations=50)
         _assert_equivalent(fast, ref, program_name)
 
-    def test_always_writeback_ablation(self, graph):
-        eng = CuShaEngine("cw", vertices_per_shard=64, always_writeback=True)
+    @pytest.mark.parametrize("mode", ["gs", "cw"])
+    def test_always_writeback_ablation(self, graph, mode):
+        eng = CuShaEngine(mode, vertices_per_shard=64, always_writeback=True)
         fast, ref = _run_both(eng, graph, "pr", max_iterations=30)
         _assert_equivalent(fast, ref)
 

@@ -202,6 +202,6 @@ class TestCheckJsonFormat:
                    "--program", "bfs", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert payload["selftest"]["fixtures"] == 48
+        assert payload["selftest"]["fixtures"] == 49
         assert payload["selftest"]["failed"] == 0
-        assert payload["selftest"]["distinct_codes"] == 53
+        assert payload["selftest"]["distinct_codes"] == 54

@@ -79,6 +79,12 @@ class TestEnumeratedKnobs:
 
 
 class TestResumeAndIterationRules:
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_max_iterations_must_be_positive(self, max_iterations):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(max_iterations=max_iterations)
+        assert exc.value.knob == "max_iterations"
+
     def test_negative_start_iteration_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(start_iteration=-1, resume_values=VALUES)
@@ -116,6 +122,7 @@ class TestTableHygiene:
         {"frontier": "bogus"},
         {"validate": "bogus"},
         {"certify": "bogus"},
+        {"max_iterations": 0},
         {"start_iteration": -1, "resume_values": VALUES},
         {"start_iteration": 9, "max_iterations": 9,
          "resume_values": VALUES},
