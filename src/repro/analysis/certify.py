@@ -1431,6 +1431,7 @@ def _dest_dependence(program, comp_low, msgs_low):
 
 def _tiny_setup(program):
     from repro.graph import generators
+    from repro.graph.order import edge_order
 
     graph = generators.rmat(48, 192, seed=7)
     if program.edge_dtype is not None and graph.weights is None:
@@ -1438,7 +1439,7 @@ def _tiny_setup(program):
     values = program.initial_values(graph)
     statics = program.static_values(graph)
     edges = program.edge_values(graph)
-    order = np.argsort(graph.dst, kind="stable")
+    order = edge_order(graph.dst)
     indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
     np.add.at(indptr[1:], graph.dst, 1)
     np.cumsum(indptr, out=indptr)

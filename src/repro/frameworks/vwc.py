@@ -239,15 +239,15 @@ class VWCEngine(Engine):
             )
             # VertexValues gathers through SrcIndxs — the non-coalesced cost.
             gsrc = src[pos].astype(np.int64) * self.address_dilation
-            stats.add_load_raw(
-                segments_rowwise(gsrc * vbytes // tx, active),
-                n_active * vbytes,
-            )
+            value_tx = segments_rowwise(gsrc * vbytes // tx, active)
+            stats.add_load_raw(value_tx, n_active * vbytes)
             if sbytes:
-                stats.add_load_raw(
-                    segments_rowwise(gsrc * sbytes // tx, active),
-                    n_active * sbytes,
-                )
+                # StaticVertexValues gathers through the same SrcIndxs; at
+                # the same width its segments are identical: price once,
+                # charge twice.
+                if sbytes != vbytes:
+                    value_tx = segments_rowwise(gsrc * sbytes // tx, active)
+                stats.add_load_raw(value_tx, n_active * sbytes)
             if ebytes:
                 stats.add_load_raw(
                     segments_rowwise(pos * ebytes // tx, active),

@@ -71,10 +71,13 @@ def segments_rowwise(
 
     ``segments`` is ``(rows, lanes)`` of non-negative segment ids; ``active``
     masks lanes that issued no request.  The per-row distinct count is the
-    number of memory transactions that warp-step costs.
+    number of memory transactions that warp-step costs.  A negative id
+    raises ``ValueError`` (inactive lanes are marked -1 internally, so a
+    negative address would otherwise go unpriced).
     """
     if segments.size == 0:
         return 0
+    _check_non_negative(segments, "segment id")
     seg = segments.astype(np.int64, copy=True)
     if active is not None:
         seg[~active] = -1
@@ -105,6 +108,7 @@ def gather_transactions(
     n = indices.size
     if n == 0:
         return ZERO
+    _check_non_negative(indices, "index", base_byte)
     if active is None:
         requested = n * item_bytes
     else:
@@ -153,6 +157,11 @@ def gather_transactions_segmented(
     The total equals the sum of the per-segment calls; with
     ``per_segment=True`` the per-segment transaction counts are returned as
     well (``(total, per_segment_transactions)``).
+
+    Each access is one int64 key ``row * width + segment`` (``width`` one
+    past the largest segment id), so the transaction count is the number of
+    distinct keys, found by one in-place sort; a key's row maps back to its
+    gather segment for the per-segment counts.
     """
     indices = np.asarray(indices)
     seg_offsets = np.asarray(seg_offsets, dtype=np.int64)
@@ -163,23 +172,42 @@ def gather_transactions_segmented(
         if per_segment:
             return ZERO, np.zeros(num_segments, dtype=np.int64)
         return ZERO
-    seg_id = np.repeat(np.arange(num_segments, dtype=np.int64), sizes)
-    rank = np.arange(m, dtype=np.int64) - np.repeat(seg_offsets[:-1], sizes)
+    _check_non_negative(indices, "index", base_byte)
     rows_per = -(-sizes // warp_size)
     row_offsets = np.concatenate([[0], np.cumsum(rows_per)])
-    row = row_offsets[seg_id] + rank // warp_size
-    seg = (base_byte + indices.astype(np.int64) * item_bytes) // transaction_bytes
-    order = np.lexsort((seg, row))
-    rs, ss = row[order], seg[order]
+    # Thread k of gather segment s runs in warp row
+    # row_offsets[s] + (k - seg_offsets[s]) // warp_size.
+    key = np.arange(m, dtype=np.int64)
+    key -= np.repeat(seg_offsets[:-1], sizes)
+    key //= warp_size
+    key += np.repeat(row_offsets[:-1], sizes)
+    seg = indices.astype(np.int64)
+    seg *= item_bytes
+    seg += base_byte
+    seg //= transaction_bytes
+    width = int(seg.max()) + 1
+    key *= width
+    key += seg
+    del seg
+    key.sort()
     new = np.empty(m, dtype=bool)
     new[0] = True
-    np.not_equal(rs[1:], rs[:-1], out=new[1:])
-    new[1:] |= ss[1:] != ss[:-1]
+    np.not_equal(key[1:], key[:-1], out=new[1:])
     total = TransactionCount(int(new.sum()), m * item_bytes)
     if not per_segment:
         return total
-    per_seg = np.bincount(seg_id[order][new], minlength=num_segments)
+    row_seg = np.repeat(np.arange(num_segments, dtype=np.int64), rows_per)
+    per_seg = np.bincount(row_seg[key[new] // width], minlength=num_segments)
     return total, per_seg
+
+
+def _check_non_negative(values: np.ndarray, what: str, base_byte: int = 0) -> None:
+    """Reject negative addresses, which no pricing here can count."""
+    if base_byte < 0:
+        raise ValueError(f"base_byte must be non-negative, got {base_byte}")
+    low = int(values.min())
+    if low < 0:
+        raise ValueError(f"every {what} must be non-negative, found {low}")
 
 
 def contiguous_transactions(

@@ -28,24 +28,14 @@ __all__ = [
 def _row_max_multiplicity(banks: np.ndarray) -> np.ndarray:
     """Per row, the largest number of lanes hitting one bank.
 
-    ``banks`` is ``(rows, lanes)``; rows are sorted and run lengths counted
-    vectorized.
+    ``banks`` is ``(rows, lanes)`` of non-negative bank ids; one
+    ``bincount`` over ``row * width + bank`` counts every (row, bank) pair.
     """
-    s = np.sort(banks, axis=1)
-    rows, lanes = s.shape
-    # run id increments where the value changes
-    change = np.ones((rows, lanes), dtype=np.int64)
-    change[:, 1:] = (s[:, 1:] != s[:, :-1]).astype(np.int64)
-    run_id = np.cumsum(change, axis=1)  # 1..k per row
-    # count run lengths: offset run ids per row to make them globally unique
-    offset = (np.arange(rows, dtype=np.int64) * (lanes + 1))[:, None]
-    flat = (run_id + offset).ravel()
-    counts = np.bincount(flat, minlength=rows * (lanes + 1) + lanes + 2)
-    per_row = counts[: rows * (lanes + 1) + 1]
-    # max run length per row
-    grid = np.zeros((rows, lanes + 1), dtype=np.int64)
-    grid.ravel()[: per_row.size - 1] = per_row[1:]
-    return grid.max(axis=1)
+    rows = banks.shape[0]
+    width = int(banks.max()) + 1
+    key = banks + (np.arange(rows, dtype=np.int64) * width)[:, None]
+    counts = np.bincount(key.ravel(), minlength=rows * width)
+    return counts.reshape(rows, width).max(axis=1)
 
 
 def conflict_replays(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.digraph import DiGraph, INDEX_DTYPE
+from repro.graph.order import edge_order
 
 __all__ = ["CSR"]
 
@@ -56,15 +57,14 @@ class CSR:
     @classmethod
     def from_graph(cls, graph: DiGraph) -> "CSR":
         """Build the incoming-edge CSR of ``graph``."""
-        n, m = graph.num_vertices, graph.num_edges
-        # Sort edge ids by (dst, src); stable sort keeps construction
-        # deterministic for parallel edges.
-        order = np.lexsort((graph.src, graph.dst))
-        src_sorted = graph.src[order]
-        counts = np.bincount(graph.dst, minlength=n)
+        n = graph.num_vertices
+        # Offsets first: bincount's int64 copy of its input is freed before
+        # the sort word is allocated, so the two never coexist.
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(n, offsets, src_sorted, order)
+        np.cumsum(np.bincount(graph.dst, minlength=n), out=offsets[1:])
+        # Edge ids by (dst, src); parallel edges stay in edge order.
+        order = edge_order(graph.src, graph.dst)
+        return cls(n, offsets, graph.src[order], order)
 
     # ------------------------------------------------------------------
     # Queries

@@ -11,17 +11,19 @@ Pulling ``SrcIndex`` away from ``SrcValue`` breaks the positional
 association, so a ``Mapper`` array records, for every ``CW`` slot, the entry
 position (in the flat shard storage) holding the matching ``SrcValue``.
 
-Construction is a single stable sort of entry positions by source shard:
-entries are already stored in destination-shard order and positions inside
-each window are consecutive, so the concatenation order matches the paper's
-definition exactly.
+Construction is a single ordering of entry positions by source shard, ties
+in entry order (:func:`~repro.graph.order.edge_order`): entries are already
+stored in destination-shard order and positions inside each window are
+consecutive, so the concatenation order matches the paper's definition
+exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.digraph import DiGraph, INDEX_DTYPE
+from repro.graph.digraph import DiGraph
+from repro.graph.order import edge_order
 from repro.graph.shards import GShards
 
 __all__ = ["ConcatenatedWindows"]
@@ -54,16 +56,18 @@ class ConcatenatedWindows:
         S = shards.num_shards
         N = shards.vertices_per_shard
 
-        src_shard = shards.src_index.astype(np.int64) // N
-        # Entries are stored in destination-shard order, and window-internal
-        # positions are consecutive, so a stable sort by source shard alone
-        # is exactly "concatenate W_ij ordered by j".
-        order = np.argsort(src_shard, kind="stable")
-        self.mapper = order.astype(np.int64)
-        self.cw_src_index = shards.src_index[order].astype(INDEX_DTYPE)
-        counts = np.bincount(src_shard, minlength=S)
+        src_shard = shards.src_index // N
+        # Offsets before the sort, so bincount's int64 copy of its input and
+        # the sort word never coexist.
         self.cw_offsets = np.zeros(S + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.cw_offsets[1:])
+        np.cumsum(np.bincount(src_shard, minlength=S), out=self.cw_offsets[1:])
+        # Entries are stored in destination-shard order, and window-internal
+        # positions are consecutive, so ordering entries by source shard
+        # alone, ties in entry order, is exactly "concatenate W_ij ordered
+        # by j".
+        self.mapper = edge_order(src_shard)
+        del src_shard
+        self.cw_src_index = shards.src_index[self.mapper]
         assert self.cw_offsets[-1] == m
 
     @classmethod

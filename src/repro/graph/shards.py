@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.digraph import DiGraph, INDEX_DTYPE
+from repro.graph.digraph import DiGraph
+from repro.graph.order import edge_order
 
 __all__ = ["GShards"]
 
@@ -73,31 +74,26 @@ class GShards:
         N = int(vertices_per_shard)
         S = max(1, -(-n // N))  # ceil(n / N), at least one shard
 
-        shard_of_dst = graph.dst.astype(np.int64) // N
-        # Sort edge ids by (destination shard, source index, destination
-        # index); the last key is only a determinism tie-break.  The three
-        # keys pack into one int64, (shard*n + src)*N + (dst - shard*N),
-        # written below as (shard*(n-1) + src)*N + dst; it stays below
-        # n*(n+N), so it cannot overflow for int32 vertex ids.  A stable
-        # argsort of it equals ``np.lexsort((dst, src, shard))``, ties in
-        # edge order, while sorting one array instead of three.
-        key = shard_of_dst * (n - 1)
-        key += graph.src
-        key *= N
-        key += graph.dst
-        order = np.argsort(key, kind="stable")
-        del key
+        shard_of_dst = graph.dst // N
+        # Offsets before the sort, so bincount's int64 copy of its input and
+        # the sort word never coexist.
+        self.shard_offsets = np.zeros(S + 1, dtype=np.int64)
+        np.cumsum(np.bincount(shard_of_dst, minlength=S),
+                  out=self.shard_offsets[1:])
+        # Edge ids by (destination shard, source index, destination index);
+        # the last key is only a determinism tie-break, and the destination's
+        # offset inside its shard orders the same as the destination while
+        # needing fewer bits, so all three keys pack into one sort word.
+        order = edge_order(graph.dst % N, graph.src, shard_of_dst)
 
         self.graph = graph
         self.vertices_per_shard = N
         self.num_shards = S
-        self.src_index = graph.src[order].astype(INDEX_DTYPE)
-        self.dest_index = graph.dst[order].astype(INDEX_DTYPE)
-        self.edge_positions = order.astype(np.int64)
+        self.src_index = graph.src[order]
+        self.dest_index = graph.dst[order]
+        self.edge_positions = order
 
-        counts = np.bincount(shard_of_dst, minlength=S)
-        self.shard_offsets = np.zeros(S + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.shard_offsets[1:])
+        del shard_of_dst
 
         # Window boundaries: within shard j (sorted by src), the entries with
         # src in [i*N, (i+1)*N) form window W_ij.

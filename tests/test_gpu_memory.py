@@ -7,6 +7,7 @@ from repro.gpu.memory import (
     TransactionCount,
     contiguous_transactions,
     gather_transactions,
+    gather_transactions_segmented,
     segments_rowwise,
     strided_transactions,
 )
@@ -103,6 +104,30 @@ class TestGather:
         finally:
             mem._CHUNK_ROWS = old
         assert whole == chunked
+
+
+class TestNegativeAddresses:
+    """-1 marks inactive lanes inside the pricing, so a negative address
+    must be refused, not priced as an idle lane."""
+
+    def test_segments_rowwise_rejects_negative_ids(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            segments_rowwise(np.array([[-1, 0]]))
+
+    def test_gather_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gather_transactions(np.array([-5, 1]), 4)
+
+    def test_segmented_gather_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gather_transactions_segmented(np.array([-5, 1]), 4, np.array([0, 2]))
+
+    def test_negative_base_byte_is_rejected(self):
+        with pytest.raises(ValueError, match="base_byte"):
+            gather_transactions(np.array([0, 1]), 4, base_byte=-128)
+        with pytest.raises(ValueError, match="base_byte"):
+            gather_transactions_segmented(
+                np.array([0, 1]), 4, np.array([0, 2]), base_byte=-128)
 
 
 class TestContiguous:

@@ -8,8 +8,18 @@ from repro.frameworks import CuShaEngine, VWCEngine
 from repro.graph.csr import CSR
 from repro.graph.cw import ConcatenatedWindows
 from repro.graph.digraph import DiGraph
+from repro.graph.order import edge_order
 from repro.graph.shards import GShards
-from repro.gpu.memory import contiguous_transactions, gather_transactions
+from repro.gpu.memory import (
+    contiguous_transactions,
+    gather_transactions,
+    gather_transactions_segmented,
+)
+from repro.gpu.sharedmem import (
+    bank_multiplicity_histogram,
+    conflict_replays,
+    conflict_replays_segmented,
+)
 from repro.reference import golden
 from repro.vertexcentric.datatypes import UINT_INF
 
@@ -100,6 +110,52 @@ def test_cw_mapper_is_the_lexsort_definition(g, N):
     assert np.array_equal(cw.mapper, np.lexsort((dst_shard, src_shard)))
 
 
+_NEAR_INT32_MAX = 2**31 - 4
+
+
+@st.composite
+def edge_keys(draw, max_edges=60):
+    """1-3 keys over the same edges: small ranges (many duplicates) or
+    values near 2**31, two of which no longer fit one 63-bit word."""
+    m = draw(st.integers(0, max_edges))
+    keys = []
+    for _ in range(draw(st.integers(1, 3))):
+        low = draw(st.sampled_from([0, _NEAR_INT32_MAX]))
+        values = draw(st.lists(st.integers(low, low + 3), min_size=m, max_size=m))
+        keys.append(np.array(values, dtype=np.int32))
+    return keys
+
+
+@given(edge_keys())
+@example([np.empty(0, np.int32)])
+@example([np.array([7], np.int32), np.array([_NEAR_INT32_MAX], np.int32)])
+@example([np.full(5, _NEAR_INT32_MAX, np.int32)] * 3)  # a second pass
+@settings(max_examples=120, deadline=None)
+def test_edge_order_is_lexsort(keys):
+    order = edge_order(*keys)
+    assert order.dtype == np.int64
+    assert np.array_equal(order, np.lexsort(keys))
+
+
+@given(multigraphs())
+@example(DiGraph.empty(0))
+@example(_DUPS_AND_LOOPS)
+@settings(max_examples=80, deadline=None)
+def test_csr_is_the_lexsort_definition(g):
+    # Edge ids grouped by destination, sources ascending, parallel edges in
+    # edge order; offsets are the in-degree prefix sums.
+    csr = CSR.from_graph(g)
+    expected = np.lexsort((g.src, g.dst))
+    assert np.array_equal(csr.edge_positions, expected)
+    assert csr.edge_positions.dtype == np.int64
+    assert np.array_equal(csr.src_indxs, g.src[expected])
+    assert csr.src_indxs.dtype == np.int32
+    offsets = np.concatenate(
+        [[0], np.cumsum(np.bincount(g.dst, minlength=g.num_vertices))]
+    )
+    assert np.array_equal(csr.in_edge_idxs, offsets)
+
+
 @given(small_graphs())
 @settings(max_examples=60, deadline=None)
 def test_csr_round_trips_every_edge(g):
@@ -153,6 +209,57 @@ def test_gather_transaction_bounds(indices, item_bytes):
     # At least one transaction per warp, at most one per lane.
     assert warps <= tc.transactions <= idx.size
     assert tc.bytes_requested == idx.size * item_bytes
+
+
+@st.composite
+def segmented_indices(draw, max_size=150):
+    """Indices split into segments, some of them empty."""
+    idx = draw(st.lists(st.integers(0, 3000), max_size=max_size))
+    cuts = draw(st.lists(st.integers(0, len(idx)), max_size=6))
+    offsets = np.array([0, *sorted(cuts), len(idx)], dtype=np.int64)
+    return np.array(idx, dtype=np.int64), offsets
+
+
+def _segments(idx, offsets):
+    return [idx[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+@given(segmented_indices(), st.sampled_from([4, 8]), st.integers(0, 300),
+       st.sampled_from([8, 32]))
+@settings(max_examples=80, deadline=None)
+def test_segmented_gather_is_per_segment_gather(seg_idx, item_bytes, base, warp):
+    idx, offsets = seg_idx
+    kw = dict(warp_size=warp, transaction_bytes=128, base_byte=base)
+    total, per = gather_transactions_segmented(
+        idx, item_bytes, offsets, per_segment=True, **kw)
+    expected = [gather_transactions(part, item_bytes, **kw).transactions
+                for part in _segments(idx, offsets)]
+    assert per.tolist() == expected
+    assert total.transactions == sum(expected)
+    assert total.bytes_requested == idx.size * item_bytes
+
+
+@given(segmented_indices(), st.sampled_from([1, 2]))
+@settings(max_examples=80, deadline=None)
+def test_segmented_replays_are_per_segment_replays(seg_idx, value_words):
+    idx, offsets = seg_idx
+    total, per = conflict_replays_segmented(
+        idx, offsets, value_words=value_words, per_segment=True)
+    expected = [conflict_replays(part, value_words=value_words)
+                for part in _segments(idx, offsets)]
+    assert per.tolist() == expected
+    assert total == sum(expected)
+
+
+@given(st.lists(st.integers(0, 3000), max_size=200))
+@settings(max_examples=80, deadline=None)
+def test_bank_histogram_is_per_row_unique_count(indices):
+    idx = np.array(indices, dtype=np.int64)
+    expected = np.zeros(33, dtype=np.int64)
+    for start in range(0, idx.size, 32):
+        _, counts = np.unique(idx[start:start + 32] % 32, return_counts=True)
+        expected[counts.max()] += 1
+    assert np.array_equal(bank_multiplicity_histogram(idx), expected)
 
 
 @given(st.integers(0, 5000), st.sampled_from([4, 8]), st.integers(0, 256))
