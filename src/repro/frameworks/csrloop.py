@@ -21,8 +21,35 @@ from repro.graph.csr import CSR
 from repro.graph.digraph import DiGraph
 from repro.vertexcentric.program import VertexProgram, apply_reductions
 
-__all__ = ["CSRProblem", "cache_option", "preflight_csr", "run_chunk",
-           "iterate_chunks"]
+__all__ = ["CSRProblem", "SlotTable", "cache_option", "preflight_csr",
+           "run_chunk", "iterate_chunks"]
+
+
+@dataclass(frozen=True)
+class SlotTable:
+    """The per-CSR-slot operands of the chunk loop that no iteration
+    changes, built once per run: each slot's source as ``intp``, the
+    source's static values, and the slot's destination minus the first
+    vertex of its ``chunk_size`` chunk (the index into the chunk's
+    ``local`` and ``old`` rows)."""
+
+    chunk_size: int
+    sources: np.ndarray
+    static: np.ndarray | None
+    dest_local: np.ndarray
+
+    @classmethod
+    def build(cls, problem: "CSRProblem", chunk_size: int) -> "SlotTable":
+        sources = problem.csr.src_indxs.astype(np.intp)
+        dest_local = problem.destinations.astype(np.intp)
+        dest_local %= chunk_size
+        return cls(
+            chunk_size=chunk_size,
+            sources=sources,
+            static=(None if problem.static_values is None
+                    else problem.static_values[sources]),
+            dest_local=dest_local,
+        )
 
 
 @dataclass
@@ -35,10 +62,11 @@ class CSRProblem:
     static_values: np.ndarray | None
     edge_values: np.ndarray | None  # CSR slot order
     destinations: np.ndarray  # per CSR slot, int64
+    slots: SlotTable | None = None  # built by the first chunk that runs
 
     @classmethod
     def build(
-        cls, graph: DiGraph, program: VertexProgram, cache=None
+        cls, graph: DiGraph, program: VertexProgram, cache=None, *, fp=None
     ) -> "CSRProblem":
         """Assemble the problem, memoizing the structural pieces.
 
@@ -46,10 +74,14 @@ class CSRProblem:
         graph's topology, so they are cached by fingerprint (see
         :mod:`repro.cache`); the value arrays depend on the program and the
         graph's weights and are always built fresh.  ``cache=False``
-        disables the memo.
+        disables the memo.  A caller that already hashed ``graph`` passes
+        the result as ``fp``.
         """
         resolved = resolve_cache(cache)
-        fp = None if resolved is None else graph_fingerprint(graph)
+        if resolved is None:
+            fp = None
+        elif fp is None:
+            fp = graph_fingerprint(graph)
         csr = cached(resolved, ("csr", fp), lambda: CSR.from_graph(graph))
         destinations = cached(
             resolved, ("csr-dest", fp),
@@ -64,6 +96,13 @@ class CSRProblem:
             edge_values=None if ev is None else csr.gather_edge_values(ev),
             destinations=destinations,
         )
+
+    def slot_table(self, chunk_size: int) -> SlotTable:
+        """The :class:`SlotTable` for ``chunk_size`` chunks, built on first
+        use and kept for the rest of the run."""
+        if self.slots is None or self.slots.chunk_size != chunk_size:
+            self.slots = SlotTable.build(self, chunk_size)
+        return self.slots
 
 
 def cache_option(engine, config):
@@ -81,11 +120,20 @@ def preflight_csr(engine, graph: DiGraph, config) -> tuple:
     return (cached(cache, ("csr", fp), lambda: CSR.from_graph(graph)),)
 
 
-def run_chunk(problem: CSRProblem, a: int, b: int) -> tuple[np.ndarray, int]:
-    """Process vertices ``[a, b)``; apply updates in place.
+def run_chunk(
+    problem: CSRProblem, a: int, b: int, chunk_size: int | None = None
+) -> tuple[np.ndarray, int]:
+    """Process vertices ``[a, b)``, one chunk of a ``chunk_size`` grid
+    (default ``b - a``); apply updates in place.
 
     Returns ``(updated_vertex_indices, reduction_ops)``.
     """
+    if chunk_size is None:
+        chunk_size = b - a
+    if b > a and (a % chunk_size or b - a > chunk_size):
+        raise ValueError(
+            f"[{a}, {b}) is not one chunk of the {chunk_size}-vertex grid"
+        )
     prog = problem.program
     vv = problem.vertex_values
     lo = int(problem.csr.in_edge_idxs[a])
@@ -94,15 +142,15 @@ def run_chunk(problem: CSRProblem, a: int, b: int) -> tuple[np.ndarray, int]:
     local = prog.init_local(old)
     ops = 0
     if hi > lo:
-        srcs = problem.csr.src_indxs[lo:hi].astype(np.int64)
-        dests = problem.destinations[lo:hi]
+        slots = problem.slot_table(chunk_size)
+        dest_local = slots.dest_local[lo:hi]
         msgs, mask = prog.messages(
-            vv[srcs],
-            None if problem.static_values is None else problem.static_values[srcs],
+            vv[slots.sources[lo:hi]],
+            None if slots.static is None else slots.static[lo:hi],
             None if problem.edge_values is None else problem.edge_values[lo:hi],
-            vv[dests],
+            old[dest_local],
         )
-        ops, _ = apply_reductions(prog, local, dests - a, msgs, mask)
+        ops, _ = apply_reductions(prog, local, dest_local, msgs, mask)
     final, upd = prog.apply(local, old)
     idx = a + np.flatnonzero(upd)
     if idx.size:
@@ -125,7 +173,8 @@ def iterate_chunks(
     ops = 0
     chunks = 0
     for a in range(0, n, chunk_size):
-        idx, chunk_ops = run_chunk(problem, a, min(a + chunk_size, n))
+        idx, chunk_ops = run_chunk(problem, a, min(a + chunk_size, n),
+                                   chunk_size)
         ops += chunk_ops
         chunks += 1
         if idx.size:

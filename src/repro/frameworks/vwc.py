@@ -43,7 +43,7 @@ __all__ = ["VWCEngine", "VIRTUAL_WARP_SIZES"]
 VIRTUAL_WARP_SIZES: tuple[int, ...] = (2, 4, 8, 16, 32)
 """The configurations the paper sweeps for VWC-CSR."""
 
-_ROW_CHUNK = 1 << 15
+_ROW_CHUNK = 1 << 12
 
 
 class VWCEngine(Engine):
@@ -207,9 +207,7 @@ class VWCEngine(Engine):
         off_mat = offp.reshape(num_warps, vpw)
         steps = (-(-deg_mat // vw)).max(axis=1)  # physical-warp steps
 
-        lane = np.arange(warp, dtype=np.int64)
-        lane_vwarp = lane // vw
-        lane_rank = lane % vw
+        lane_rank = np.arange(warp, dtype=np.int64) % vw
         src = csr.src_indxs
         tx = LOAD_GRANULARITY_BYTES
 
@@ -217,20 +215,16 @@ class VWCEngine(Engine):
         total_rows = int(steps.sum())
         row_warp = np.repeat(np.arange(num_warps), steps)
         row_k = np.arange(total_rows, dtype=np.int64) - np.repeat(pos_in, steps)
-        # Loop invariants: each warp's per-lane degree/offset rows, broadcast
-        # to lane positions once instead of re-gathered per chunk.
-        deg_lane = deg_mat[:, lane_vwarp]
-        off_lane = off_mat[:, lane_vwarp]
 
+        # Blocks of _ROW_CHUNK rows bound the (rows, warp) temporaries; each
+        # lane's degree and offset come from its virtual warp's column.
         for start in range(0, total_rows, _ROW_CHUNK):
             stop = min(start + _ROW_CHUNK, total_rows)
             wm = row_warp[start:stop]
-            k = row_k[start:stop, None]
-            d = deg_lane[wm]
-            o = off_lane[wm]
-            r = k * vw + lane_rank[None, :]
-            active = r < d
-            pos = np.where(active, o + r, 0)
+            pos = row_k[start:stop, None] * vw + lane_rank
+            active = pos < np.repeat(deg_mat[wm], vw, axis=1)
+            pos += np.repeat(off_mat[wm], vw, axis=1)
+            pos *= active  # inactive lanes read slot 0, which they never price
             rows = pos.shape[0]
             n_active = int(active.sum())
             # SrcIndxs reads (4-byte indices, mostly-contiguous per vertex).
@@ -308,8 +302,8 @@ class VWCEngine(Engine):
                   self.spec.warp_size, vbytes, sbytes, ebytes)
 
         def lookups():
-            problem = CSRProblem.build(graph, program, cache=cache_opt)
             fp = None if cache is None else graph_fingerprint(graph)
+            problem = CSRProblem.build(graph, program, cache=cache_opt, fp=fp)
             phases = cached(cache, ("vwc-stats", fp, *layout),
                             lambda: self._static_stat_phases(problem))
             return problem, phases, fp
@@ -381,7 +375,9 @@ class VWCEngine(Engine):
                         if mdr is not None:
                             mdr_processed.append(c)
                         a = c * chunk_size
-                        idx, _ops = run_chunk(problem, a, min(a + chunk_size, n))
+                        idx, _ops = run_chunk(
+                            problem, a, min(a + chunk_size, n), chunk_size
+                        )
                         for pname, pstats in chunk_phase_list[c].items():
                             iter_phases[pname] += pstats
                         if idx.size:

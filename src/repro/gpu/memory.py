@@ -103,6 +103,11 @@ def gather_transactions(
     issue the access (inactive lanes cost nothing).  Items are assumed
     aligned, so one access touches one segment (true for the 4- and 8-byte
     fields used throughout).
+
+    Nondecreasing ``indices`` (e.g. lane-0 stores to consecutive vertices)
+    need no sort: the active lanes' ``(warp row, segment)`` pairs are then
+    in order too, so a lane starts a transaction exactly when its pair
+    differs from the previous active lane's.
     """
     indices = np.asarray(indices)
     n = indices.size
@@ -116,6 +121,19 @@ def gather_transactions(
         if active.shape != indices.shape:
             raise ValueError("active mask must align with indices")
         requested = int(active.sum()) * item_bytes
+    if _nondecreasing(indices):
+        threads = (np.arange(n, dtype=np.int64) if active is None
+                   else np.flatnonzero(active))
+        if threads.size == 0:
+            return TransactionCount(0, int(requested))
+        seg = indices[threads].astype(np.int64)
+        seg *= item_bytes
+        seg += base_byte
+        seg //= transaction_bytes
+        new = seg[1:] != seg[:-1]
+        threads //= warp_size  # each active thread's warp row
+        new |= threads[1:] != threads[:-1]
+        return TransactionCount(1 + int(new.sum()), int(requested))
     transactions = 0
     lanes = warp_size
     for start in range(0, n, _CHUNK_ROWS * lanes):
@@ -160,8 +178,9 @@ def gather_transactions_segmented(
 
     Each access is one int64 key ``row * width + segment`` (``width`` one
     past the largest segment id), so the transaction count is the number of
-    distinct keys, found by one in-place sort; a key's row maps back to its
-    gather segment for the per-segment counts.
+    distinct keys, found by one in-place sort (skipped when the keys are
+    already nondecreasing, as for indices sorted within each segment); a
+    key's row maps back to its gather segment for the per-segment counts.
     """
     indices = np.asarray(indices)
     seg_offsets = np.asarray(seg_offsets, dtype=np.int64)
@@ -189,7 +208,8 @@ def gather_transactions_segmented(
     key *= width
     key += seg
     del seg
-    key.sort()
+    if not _nondecreasing(key):
+        key.sort()
     new = np.empty(m, dtype=bool)
     new[0] = True
     np.not_equal(key[1:], key[:-1], out=new[1:])
@@ -199,6 +219,11 @@ def gather_transactions_segmented(
     row_seg = np.repeat(np.arange(num_segments, dtype=np.int64), rows_per)
     per_seg = np.bincount(row_seg[key[new] // width], minlength=num_segments)
     return total, per_seg
+
+
+def _nondecreasing(values: np.ndarray) -> bool:
+    """Whether ``values`` (1-D) never decreases."""
+    return bool(np.all(values[1:] >= values[:-1]))
 
 
 def _check_non_negative(values: np.ndarray, what: str, base_byte: int = 0) -> None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.gpu import memory
 from repro.gpu.memory import (
     TransactionCount,
     contiguous_transactions,
@@ -180,3 +181,34 @@ class TestTransactionCount:
 
     def test_efficiency_of_zero_transactions(self):
         assert TransactionCount(0, 0).efficiency() == 1.0
+
+
+class TestMonotoneGather:
+    def test_nondecreasing_indices_skip_the_row_sort(self, monkeypatch):
+        # Lane-0 stores to consecutive vertices: counted by comparing
+        # neighbours, so the sort-based row count is never reached.
+        def no_sort(*args, **kwargs):
+            raise AssertionError("monotone indices must not be sorted")
+
+        monkeypatch.setattr(memory, "segments_rowwise", no_sort)
+        mask = np.zeros(64, dtype=bool)
+        mask[[0, 1, 5, 40, 63]] = True
+        tc = gather_transactions(np.arange(64), 4, active=mask, warp_size=4,
+                                 transaction_bytes=32)
+        # Lanes 0 and 1 share warp row 0; 5, 40 and 63 each start a row.
+        assert tc == TransactionCount(4, 20)
+
+    def test_row_boundary_splits_one_segment(self):
+        # Two lanes in one 128 B segment but different warp rows cost two.
+        tc = gather_transactions(np.array([7, 8]), 4, warp_size=1)
+        assert tc.transactions == 2
+
+    def test_all_inactive(self):
+        tc = gather_transactions(np.arange(10), 4,
+                                 active=np.zeros(10, dtype=bool))
+        assert tc == TransactionCount(0, 0)
+
+    def test_descending_indices_still_priced(self):
+        idx = np.array([200, 100, 0, 0])
+        # Segments 6, 3, 0, 0 in one row: three distinct.
+        assert gather_transactions(idx, 4, warp_size=4).transactions == 3

@@ -14,6 +14,7 @@ from repro.gpu.memory import (
     contiguous_transactions,
     gather_transactions,
     gather_transactions_segmented,
+    segments_rowwise,
 )
 from repro.gpu.sharedmem import (
     bank_multiplicity_histogram,
@@ -237,6 +238,65 @@ def test_segmented_gather_is_per_segment_gather(seg_idx, item_bytes, base, warp)
     assert per.tolist() == expected
     assert total.transactions == sum(expected)
     assert total.bytes_requested == idx.size * item_bytes
+
+
+def _rowwise_gather(idx, item_bytes, active, warp, base):
+    """The sort-based definition: pad to whole warp rows, then count the
+    distinct segments of each row's active lanes."""
+    pad = (-idx.size) % warp
+    seg = (base + np.concatenate([idx, np.zeros(pad, np.int64)]) * item_bytes
+           ) // 128
+    mask = np.concatenate([active, np.zeros(pad, bool)])
+    return segments_rowwise(seg.reshape(-1, warp), mask.reshape(-1, warp))
+
+
+@st.composite
+def monotone_masked(draw, max_size=300):
+    """Nondecreasing indices with duplicates, a random active mask and
+    some warp rows switched off entirely."""
+    idx = np.sort(np.array(
+        draw(st.lists(st.integers(0, 400), min_size=1, max_size=max_size)),
+        dtype=np.int64))
+    warp = draw(st.integers(1, 32))
+    active = np.array(draw(st.lists(st.booleans(), min_size=idx.size,
+                                    max_size=idx.size)), dtype=bool)
+    rows = -(-idx.size // warp)
+    for row in draw(st.lists(st.integers(0, rows - 1), max_size=4)):
+        active[row * warp:(row + 1) * warp] = False
+    return idx, active, warp
+
+
+@given(monotone_masked(), st.sampled_from([4, 8]), st.integers(0, 300))
+@settings(max_examples=150, deadline=None)
+@example((np.zeros(5, np.int64), np.zeros(5, bool), 2), 4, 0)
+@example((np.arange(64, dtype=np.int64), np.ones(64, bool), 32), 8, 300)
+def test_monotone_gather_is_rowwise_count(case, item_bytes, base):
+    idx, active, warp = case
+    tc = gather_transactions(idx, item_bytes, active=active, warp_size=warp,
+                             transaction_bytes=128, base_byte=base)
+    assert tc.transactions == _rowwise_gather(idx, item_bytes, active, warp,
+                                              base)
+    assert tc.bytes_requested == int(active.sum()) * item_bytes
+
+
+@given(segmented_indices(), st.sampled_from([4, 8]), st.integers(0, 300),
+       st.sampled_from([1, 8, 32]))
+@settings(max_examples=80, deadline=None)
+def test_sorted_segments_gather_is_per_segment_gather(seg_idx, item_bytes,
+                                                      base, warp):
+    idx, offsets = seg_idx
+    for part in _segments(idx, offsets):
+        part.sort()  # in place: indices sorted within each segment
+    kw = dict(warp_size=warp, transaction_bytes=128, base_byte=base)
+    total, per = gather_transactions_segmented(
+        idx, item_bytes, offsets, per_segment=True, **kw)
+    expected = [_rowwise_gather(part, item_bytes, np.ones(part.size, bool),
+                                warp, base)
+                for part in _segments(idx, offsets)]
+    calls = [gather_transactions(part, item_bytes, **kw).transactions
+             for part in _segments(idx, offsets)]
+    assert per.tolist() == expected == calls
+    assert total.transactions == sum(expected)
 
 
 @given(segmented_indices(), st.sampled_from([1, 2]))
