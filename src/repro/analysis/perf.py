@@ -67,13 +67,14 @@ from repro.frameworks.base import RunConfig
 from repro.frameworks.cusha import CuShaEngine, shard_pricing
 from repro.frameworks.streamed import StreamedCuShaEngine
 from repro.frameworks.vwc import VWCEngine
-from repro.frameworks.wavebatch import STAT_FIELDS, cusha_static_bundle
+from repro.frameworks.wavebatch import cusha_static_bundle
 from repro.graph.cw import ConcatenatedWindows
 from repro.graph.shards import GShards
 from repro.gpu.occupancy import occupancy_report
 from repro.gpu.sharedmem import replay_fraction
-from repro.gpu.stats import (COUNTER_FIELDS, KernelStats,
-                             STORE_GRANULARITY_BYTES, field_diffs)
+from repro.gpu.stats import (COUNTER_FIELDS, KernelStats, STAT_FIELDS,
+                             STORE_GRANULARITY_BYTES, field_diffs,
+                             stats_to_row)
 from repro.telemetry.tracer import Tracer
 
 __all__ = [
@@ -273,8 +274,7 @@ def _shard_rows_check(
         *stages, replays = shard_pricing(cw, mode, warp, vbytes, sbytes,
                                          ebytes)
         checks = [
-            (stage, got, [[getattr(st, f) for f in STAT_FIELDS] for st in rows],
-             STAT_FIELDS)
+            (stage, got, [stats_to_row(st) for st in rows], STAT_FIELDS)
             for stage, got, rows in zip(
                 _STAGE_DYNAMIC, (bundle.stage1, bundle.stage2, bundle.stage3,
                                  bundle.stage4), stages)

@@ -192,8 +192,10 @@ class RunConfig:
     ``exec_path`` selects between the wave-batched vectorized core
     (``"fast"``, the default) and the original per-shard loop
     (``"reference"``) in the engines that implement both; the two paths are
-    equivalence-gated to byte-identical results.  Engines with a single
-    path ignore it.
+    equivalence-gated to byte-identical results.  The single-path CSR
+    engines (VWC, MTCPU) run their one loop either way, but under
+    ``"reference"`` they skip the representation cache, like the
+    dual-path engines' reference operators.  The scalar oracle ignores it.
 
     ``validate`` gates the :mod:`repro.analysis` preflight: ``"off"`` (the
     default) skips it entirely, ``"structure"`` lints the program and
@@ -329,10 +331,12 @@ class RunResult:
     compatibility — the tracer's ``stage`` spans carry the same breakdown
     plus per-iteration resolution and standalone modeled times."""
     exec_path: str = ""
-    """The execution path this run actually used (``config.exec_path``
-    for dual-path engines, ``"reference"`` for single-path ones), so
-    downstream comparisons — the ``perfgate`` baseline check above all —
-    never diff a fast run against a reference one."""
+    """The execution path this run was asked for: ``config.exec_path``
+    for every engine but the scalar oracle, which reports
+    ``"reference"``.  A VWC or MTCPU run reports ``"reference"`` when it
+    skipped the representation cache.  Downstream comparisons — the
+    ``perfgate`` baseline check above all — use it never to diff a fast
+    run against a reference one."""
     cache_hits: int = 0
     cache_misses: int = 0
     """Representation-cache hit/miss deltas attributable to this run

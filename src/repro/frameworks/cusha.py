@@ -50,7 +50,10 @@ entry order, which the concatenation preserves).  That kernel step
 (:func:`wave_kernel`) and the packed gather of a sparse frontier's active
 shards (:func:`pack_shards`) are written once here; the streamed engine
 runs the same step over its single whole-iteration wave.  Hardware pricing uses the
-segmented helpers so warp rows never span shard boundaries.
+segmented helpers so warp rows never span shard boundaries.  The fast
+operator keeps one stats row per stage for each iteration and one for the
+run: stage 1-3 rows are sums of the bundle's per-shard rows, and all of an
+iteration's stores are priced in one segmented call after its last wave.
 ``"reference"`` keeps the per-shard loop, with the literal ``SrcValue``
 array and write-back, as the oracle the fast operator is gated against.
 Its kernel step (:func:`shard_kernel`) and its static pricing
@@ -71,9 +74,7 @@ from repro.frameworks import costs
 from repro.frameworks.base import Engine, RunConfig, RunResult
 from repro.frameworks.sweep import (SweepContext, SweepPlan, SweepStep,
                                     run_sweeps)
-from repro.frameworks.wavebatch import (add_row_into, cusha_static_bundle,
-                                        multi_arange, stats_from_row,
-                                        STAT_FIELDS)
+from repro.frameworks.wavebatch import cusha_static_bundle, multi_arange
 from repro.graph.cw import ConcatenatedWindows
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import select_shard_size
@@ -83,7 +84,8 @@ from repro.gpu.memory import (contiguous_transactions, gather_transactions,
 from repro.gpu.occupancy import blocks_per_sm, occupancy, shared_mem_per_block
 from repro.gpu.spec import GTX780, GPUSpec, PCIeSpec
 from repro.gpu.stats import (KernelStats, LOAD_GRANULARITY_BYTES,
-                             STORE_GRANULARITY_BYTES)
+                             STAT_FIELDS, STORE_COLUMNS,
+                             STORE_GRANULARITY_BYTES, stats_from_row)
 from repro.gpu.sharedmem import conflict_replays
 from repro.gpu.warp import slots_for_contiguous, slots_for_segments
 from repro.vertexcentric.program import VertexProgram, apply_reductions
@@ -93,6 +95,9 @@ __all__ = ["CuShaEngine", "entry_arrays", "pack_shards", "shard_blocks",
 
 _STAGES = ("stage1-fetch", "stage2-compute", "stage3-update",
            "stage4-writeback")
+# The stats-row cell of stage 2's shared-memory atomics, which the fast
+# sweep charges per wave.
+_ATOMICS = STAT_FIELDS.index("shared_atomics")
 
 
 def _window_rows_transactions(
@@ -439,10 +444,9 @@ class CuShaEngine(Engine):
         full-sweep cost (every shard writing back)."""
         _, bundle, _ = self._lookup(graph, program, resolve_cache(self.cache))
         return {
-            "stage1-fetch": bundle.base1.copy(),
-            "stage2-compute": bundle.base2.copy(),
-            "stage3-update": bundle.base3.copy(),
-            "stage4-writeback": stats_from_row(bundle.stage4.sum(axis=0)),
+            name: stats_from_row(mat.sum(axis=0))
+            for name, mat in zip(_STAGES, (bundle.stage1, bundle.stage2,
+                                           bundle.stage3, bundle.stage4))
         }
 
     def _wave_size(self, shared_bytes: int) -> int:
@@ -516,14 +520,13 @@ class CuShaEngine(Engine):
         vertex_values = config.initial_values(graph, program)
         entries = entry_arrays(graph, program, sh)
 
-        base1, base2, base3 = bundle.base1, bundle.base2, bundle.base3
-        st1m, st2m, st3m = bundle.stage1, bundle.stage2, bundle.stage3
-        st4_mat = bundle.stage4
-        base = base1 + base2 + base3
-        if frontier_on:
-            full1 = st1m.sum(axis=0)
-            full2 = st2m.sum(axis=0)
-            full3 = st3m.sum(axis=0)
+        # Per-shard static rows of stages 1-3, (S, 3, len(STAT_FIELDS)),
+        # and their full-sweep sum; stage 4 is charged per written shard.
+        static = np.stack((bundle.stage1, bundle.stage2, bundle.stage3),
+                          axis=1)
+        full = static.sum(axis=0)
+        stage4 = bundle.stage4
+        all_shards = np.arange(S, dtype=np.int64)
 
         shared_bytes = shared_mem_per_block(N, vbytes)
         occ = occupancy(self.spec, shared_bytes, self.threads_per_block)
@@ -542,57 +545,37 @@ class CuShaEngine(Engine):
             ee = int(sh.shard_offsets[b])
             waves.append((a, b, vlo, vhi, eo, ee, dest_global[eo:ee] - vlo))
 
-        # Run totals: dynamic stage-2/3 stats and the frontier-gated
-        # stage-1..3 rows plus every iteration's stage-4 row.
-        stage2_dynamic = KernelStats()
-        stage3_dynamic = KernelStats()
-        nf = len(STAT_FIELDS)
-        run_rows = np.zeros((4, nf), dtype=np.float64)
+        # The run's stage rows: the sum of every iteration's ``rows``.
+        run_rows = np.zeros((4, len(STAT_FIELDS)), dtype=np.float64)
 
         def sweeps(it: SweepContext) -> Iterator[SweepStep]:
             frontier, track, mdr = it.frontier, it.track, it.mdr
             while True:
                 push = it.push
                 active_vertices = 0
-                processed_shards = 0
-                if push:
-                    iter_stats = KernelStats()
-                    s1_row = np.zeros(nf, dtype=np.float64)
-                    s2_row = np.zeros(nf, dtype=np.float64)
-                    s3_row = np.zeros(nf, dtype=np.float64)
-                else:
-                    iter_stats = base.copy()
-                    if frontier_on:
-                        s1_row, s2_row, s3_row = full1, full2, full3
-                iter_stats.kernel_launches = 1
-                if trace_on:
-                    dyn2 = KernelStats()
-                    dyn3 = KernelStats()
-                updated_total = 0
-                updated_shard_count = 0
-                st4_row = np.zeros(nf, dtype=np.float64)
+                # One row per stage: a push sweep adds the rows of the
+                # shards it processes, a dense sweep starts from them all.
+                rows = np.zeros_like(run_rows)
+                if not push:
+                    rows[:3] = full
+                acts = [_EMPTY_SHARDS] if push else [all_shards]
+                updated = [_EMPTY_SHARDS]
                 for a, b, vlo, vhi, eo, ee, dest_local in waves:
                     sparse = False
-                    act = None
                     if push:
                         act = frontier.active(a, b)
                         frontier.shards_skipped += (b - a) - act.size
                         if act.size == 0:
                             continue
                         frontier.clear(act)
-                        processed_shards += act.size
-                        if mdr is not None:
-                            mdr.note_processed(act)
+                        acts.append(act)
                         sparse = act.size < b - a
-                        rows = act if sparse else slice(a, b)
-                        s1_row += st1m[rows].sum(axis=0)
-                        s2_row += st2m[rows].sum(axis=0)
-                        s3_row += st3m[rows].sum(axis=0)
+                        rows[:3] += static[act if sparse else slice(a, b)].sum(
+                            axis=0)
                     elif frontier_on:  # pull: dense sweep, clear everything
                         frontier.dirty[a:b] = False
-                        processed_shards += b - a
                     if sparse:
-                        v_idx, e_idx, dest_sub, packed_off = pack_shards(
+                        v_idx, e_idx, dest_sub, _ = pack_shards(
                             act, N, n, sh.shard_offsets, dest_global
                         )
                         frontier.edges_processed += int(e_idx.size)
@@ -609,93 +592,58 @@ class CuShaEngine(Engine):
                         )
                     if track and changed is not None:
                         active_vertices += int(changed.sum())
-                    iter_stats.add_atomics(shared=ops)
-                    stage2_dynamic.add_atomics(shared=ops)
-                    if trace_on:
-                        dyn2.add_atomics(shared=ops)
-                    wave_shards = _EMPTY_SHARDS
-                    idx = None
+                    rows[1, _ATOMICS] += ops
                     if pos.size:
-                        # Per-shard store pricing: segment the updated rows
-                        # by owning shard so warp rows never span shards
-                        # (as in the reference loop).
-                        if sparse:
-                            idx = v_idx[pos]
-                            seg_of = (
-                                np.searchsorted(packed_off, pos, side="right")
-                                - 1
-                            )
-                            counts = np.bincount(seg_of, minlength=act.size)
-                        else:
-                            idx = vlo + pos
-                            counts = np.bincount(pos // N, minlength=b - a)
+                        # The next wave must see this wave's stores and
+                        # frontier marks (the updaters' own shards plus
+                        # everything they influence).
+                        idx = v_idx[pos] if sparse else vlo + pos
                         vertex_values[idx] = new
-                        seg = np.zeros(counts.size + 1, dtype=np.int64)
-                        np.cumsum(counts, out=seg[1:])
-                        nz = np.flatnonzero(counts)
-                        wave_shards = act[nz] if sparse else a + nz
-                        store_tc = gather_transactions_segmented(
-                            idx, vbytes, seg, warp_size=warp,
-                            transaction_bytes=STORE_GRANULARITY_BYTES)
-                        iter_stats.add_store(store_tc)
-                        stage3_dynamic.add_store(store_tc)
-                        if trace_on:
-                            dyn3.add_store(store_tc)
-                        updated_total += int(pos.size)
+                        updated.append(idx)
                         if frontier_on:
                             it.last_mask[idx] = True
-                    if self.always_writeback:
-                        wave_shards = (
-                            act if sparse else np.arange(a, b, dtype=np.int64)
-                        )
-                    if wave_shards.size:
-                        updated_shard_count += wave_shards.size
-                        if mdr is not None:
-                            mdr.note_updated(wave_shards)
-                        st4_row += st4_mat[wave_shards].sum(axis=0)
-                    if frontier_on and idx is not None:
-                        # Wave-boundary frontier marking: the updaters' own
-                        # shards plus everything they influence (visible to
-                        # other shards only now that write-back ran).
-                        frontier.mark(idx)
-                if push:
-                    add_row_into(iter_stats, s1_row + s2_row + s3_row)
-                add_row_into(iter_stats, st4_row)
-                run_rows[3] += st4_row
-                if frontier_on:
-                    run_rows[0] += s1_row
-                    run_rows[1] += s2_row
-                    run_rows[2] += s3_row
+                            frontier.mark(idx)
+                # The waves ascend and so do the ids within each wave, so
+                # the iteration's updated ids are sorted by shard: one
+                # segmented call prices every store, each shard's stores in
+                # warp rows of their own (as in the reference loop).
+                idx = np.concatenate(updated)
+                counts = np.bincount(idx // N, minlength=S)
+                written = np.flatnonzero(counts)
+                seg = np.zeros(written.size + 1, dtype=np.int64)
+                np.cumsum(counts[written], out=seg[1:])
+                store = gather_transactions_segmented(
+                    idx, vbytes, seg, warp_size=warp,
+                    transaction_bytes=STORE_GRANULARITY_BYTES)
+                rows[2, STORE_COLUMNS] += (store.transactions,
+                                           store.bytes_requested)
+                processed = np.concatenate(acts)
+                if self.always_writeback:
+                    written = processed
+                rows[3] = stage4[written].sum(axis=0)
+                if mdr is not None:
+                    if push:
+                        mdr.note_processed(processed)
+                    mdr.note_updated(written)
+                run_rows[:] += rows
+                iter_stats = stats_from_row(rows.sum(axis=0))
+                iter_stats.kernel_launches = 1
                 stages = []
                 if trace_on:
-                    if frontier_on:
-                        span1 = stats_from_row(s1_row)
-                        span2 = stats_from_row(s2_row) + dyn2
-                        span3 = stats_from_row(s3_row) + dyn3
-                    else:
-                        span1 = base1.copy()
-                        span2 = base2 + dyn2
-                        span3 = base3 + dyn3
                     stages = self._stage_spans(
-                        occ, span1, span2, span3, stats_from_row(st4_row)
-                    )
+                        occ, *(stats_from_row(r) for r in rows))
                 yield SweepStep(
-                    updated_total,
+                    int(idx.size),
                     iter_stats,
                     self.cost_model.time_ms(iter_stats, occupancy=occ),
-                    processed_shards,
+                    processed.size if frontier_on else 0,
                     active_vertices,
-                    {"updated_shards": updated_shard_count},
+                    {"updated_shards": int(written.size)},
                     stages,
                 )
 
-        def stage_stats(executed: int) -> tuple:
-            if frontier_on:
-                s1, s2, s3 = (stats_from_row(r) for r in run_rows[:3])
-            else:
-                s1, s2, s3 = (s.scaled(executed) for s in (base1, base2, base3))
-            return (s1, s2 + stage2_dynamic, s3 + stage3_dynamic,
-                    stats_from_row(run_rows[3]))
+        def stage_stats(_executed: int) -> list:
+            return [stats_from_row(r) for r in run_rows]
 
         return SweepPlan(
             sweeps=sweeps,

@@ -63,12 +63,11 @@ from repro.frameworks.cusha import (CuShaEngine, entry_arrays, pack_shards,
                                     wave_kernel)
 from repro.frameworks.sweep import (SweepContext, SweepPlan, SweepStep,
                                     run_sweeps)
-from repro.frameworks.wavebatch import stats_from_row
 from repro.graph.cw import ConcatenatedWindows
 from repro.graph.digraph import DiGraph
 from repro.gpu.pcie import transfer_ms
 from repro.gpu.spec import GTX780, GPUSpec, PCIeSpec
-from repro.gpu.stats import KernelStats
+from repro.gpu.stats import KernelStats, stats_from_row
 from repro.vertexcentric.program import VertexProgram
 from repro.gpu.memory import gather_transactions, gather_transactions_segmented
 from repro.gpu.stats import STORE_GRANULARITY_BYTES

@@ -34,7 +34,9 @@ from repro.graph.digraph import DiGraph
 from repro.gpu.engine import KernelCostModel
 from repro.gpu.memory import contiguous_transactions, gather_transactions, segments_rowwise
 from repro.gpu.spec import GTX780, GPUSpec, PCIeSpec
-from repro.gpu.stats import KernelStats, LOAD_GRANULARITY_BYTES
+from repro.gpu.stats import (KernelStats, LOAD_GRANULARITY_BYTES,
+                             STAT_FIELDS, STORE_COLUMNS, stats_from_row,
+                             stats_to_row)
 from repro.gpu.warp import reduction_slots
 from repro.vertexcentric.program import VertexProgram
 
@@ -44,6 +46,10 @@ VIRTUAL_WARP_SIZES: tuple[int, ...] = (2, 4, 8, 16, 32)
 """The configurations the paper sweeps for VWC-CSR."""
 
 _ROW_CHUNK = 1 << 12
+
+#: The rows of a VWC stats matrix: the three static phases of the lockstep
+#: schedule, then lane 0's conditional stores.
+_PHASES = ("sisd", "edge-loop", "reduction", "stores")
 
 
 class VWCEngine(Engine):
@@ -250,17 +256,26 @@ class VWCEngine(Engine):
             stats.add_lanes(n_active, rows * warp,
                             instructions_per_row=costs.INSTR_VWC_EDGE)
 
-    def _chunk_static_phases(
+    def _phase_rows(
+        self, problem: CSRProblem, lo: int = 0, hi: int | None = None
+    ) -> np.ndarray:
+        """:meth:`_static_stat_phases` as a ``(3, len(STAT_FIELDS))``
+        matrix, one row per static phase."""
+        phases = self._static_stat_phases(problem, lo, hi)
+        return np.array([stats_to_row(s) for s in phases.values()])
+
+    def _chunk_phase_rows(
         self, problem: CSRProblem, chunk_size: int
-    ) -> list[dict[str, KernelStats]]:
-        """Per-chunk lockstep pricing for frontier-gated iterations: element
-        ``c`` prices the three static phases of vertices
+    ) -> np.ndarray:
+        """Per-chunk lockstep pricing for frontier-gated iterations, a
+        ``(chunks, 3, len(STAT_FIELDS))`` array: element ``c`` prices the
+        three static phases of vertices
         ``[c * chunk_size, (c + 1) * chunk_size)`` alone."""
         n = problem.csr.num_vertices
-        return [
-            self._static_stat_phases(problem, a, min(a + chunk_size, n))
+        return np.array([
+            self._phase_rows(problem, a, min(a + chunk_size, n))
             for a in range(0, n, chunk_size)
-        ]
+        ]).reshape(-1, 3, len(STAT_FIELDS))
 
     # ------------------------------------------------------------------
     def preflight_representations(
@@ -304,16 +319,13 @@ class VWCEngine(Engine):
         def lookups():
             fp = None if cache is None else graph_fingerprint(graph)
             problem = CSRProblem.build(graph, program, cache=cache_opt, fp=fp)
-            phases = cached(cache, ("vwc-stats", fp, *layout),
-                            lambda: self._static_stat_phases(problem))
-            return problem, phases, fp
+            full = cached(cache, ("vwc-stats", fp, *layout),
+                          lambda: self._phase_rows(problem))
+            return problem, full, fp
 
-        (problem, phases, fp), cache_hits, cache_misses = counted(
+        (problem, full, fp), cache_hits, cache_misses = counted(
             cache, lookups
         )
-        static_stats = KernelStats()
-        for s in phases.values():
-            static_stats += s
         vpw = self.spec.warp_size // self.virtual_warp_size
         n = graph.num_vertices
 
@@ -334,27 +346,19 @@ class VWCEngine(Engine):
         chunk_flush_pos = np.arange(num_chunks, dtype=np.int64)
         total_in_edges = int(problem.csr.in_edge_idxs[-1])
         if frontier_on:
-            chunk_phase_list = cached(
+            chunk_rows = cached(
                 cache, ("vwc-chunk-stats", fp, *layout, chunk_size),
-                lambda: self._chunk_static_phases(problem, chunk_size),
+                lambda: self._chunk_phase_rows(problem, chunk_size),
             )
-            phase_totals = {name: KernelStats() for name in phases}
-        if trace_on:
-            # Standalone per-phase modeled cost of the static schedule
-            # (kernel_launches=0, so no launch overhead) — reused every
-            # iteration's stage spans since the schedule is static.
-            phase_ms = {
-                name: self.cost_model.time_ms(s, occupancy=1.0)
-                for name, s in phases.items()
-            }
 
-        store_dynamic = KernelStats()
+        # The run's phase rows: the sum of every iteration's ``rows``.
+        run_rows = np.zeros((len(_PHASES), len(STAT_FIELDS)), dtype=np.float64)
         upd_mask = np.zeros(n, dtype=bool)
 
         def sweeps(it: SweepContext) -> Iterator[SweepStep]:
             frontier, last_mask, mdr = it.frontier, it.last_mask, it.mdr
             while True:
-                active_chunk_count = 0
+                rows = np.zeros_like(run_rows)
                 if it.push:
                     # Frontier-gated Gauss-Seidel: only dirty chunks run.
                     # Marks land immediately after each chunk (its updates
@@ -362,50 +366,39 @@ class VWCEngine(Engine):
                     # within this very iteration — exactly the full sweep's
                     # visibility — while marks into earlier chunks survive
                     # to the next iteration.
-                    iter_phases = {name: KernelStats() for name in phases}
-                    updated_parts: list[np.ndarray] = []
-                    mdr_processed: list[int] = []
+                    ran: list[int] = []
+                    updated_parts = [np.empty(0, dtype=np.int64)]
                     for c in range(num_chunks):
                         if not frontier.dirty[c]:
                             frontier.shards_skipped += 1
                             continue
                         frontier.dirty[c] = False
                         frontier.edges_processed += int(chunk_edge_counts[c])
-                        active_chunk_count += 1
-                        if mdr is not None:
-                            mdr_processed.append(c)
+                        ran.append(c)
                         a = c * chunk_size
                         idx, _ops = run_chunk(
                             problem, a, min(a + chunk_size, n), chunk_size
                         )
-                        for pname, pstats in chunk_phase_list[c].items():
-                            iter_phases[pname] += pstats
                         if idx.size:
                             updated_parts.append(idx)
                             last_mask[idx] = True
                             frontier.mark(idx)
-                    if updated_parts:
-                        updated_idx = np.concatenate(updated_parts)
-                    else:
-                        updated_idx = np.empty(0, dtype=np.int64)
-                    iter_stats = KernelStats()
-                    for pstats in iter_phases.values():
-                        iter_stats += pstats
-                    iter_stats.kernel_launches = 1 if active_chunk_count else 0
+                    updated_idx = np.concatenate(updated_parts)
+                    rows[:3] = chunk_rows[ran].sum(axis=0)
+                    launches = 1 if ran else 0
+                    active_chunk_count = len(ran)
                     if mdr is not None:
-                        mdr.note_processed(
-                            np.asarray(mdr_processed, dtype=np.int64)
-                        )
+                        mdr.note_processed(np.asarray(ran, dtype=np.int64))
                 else:
                     updated_idx, _ops = iterate_chunks(
                         problem,
                         self.chunk_vertices,
                         metrics=tracer.metrics if trace_on else None,
                     )
-                    iter_stats = static_stats.copy()
-                    iter_stats.kernel_launches = 1
+                    rows[:3] = full
+                    launches = 1
+                    active_chunk_count = 0
                     if frontier_on:  # pull: dense sweep over every chunk
-                        iter_phases = phases
                         active_chunk_count = num_chunks
                         frontier.edges_processed += total_in_edges
                         last_mask[updated_idx] = True
@@ -417,12 +410,8 @@ class VWCEngine(Engine):
                             frontier.indptr, frontier.targets,
                             chunk_flush_pos,
                         )
-                if frontier_on:
-                    for pname, pstats in iter_phases.items():
-                        phase_totals[pname] += pstats
                 if mdr is not None and updated_idx.size:
                     mdr.note_updated(np.unique(updated_idx // chunk_size))
-                stores_iter = KernelStats()
                 if updated_idx.size:
                     # Lane-0 conditional stores: group vertices by physical warp
                     # (vpw consecutive vertices per warp row).
@@ -434,20 +423,17 @@ class VWCEngine(Engine):
                         active=upd_mask,
                         warp_size=vpw,
                     )
-                    iter_stats.add_store(store_tc)
-                    store_dynamic.add_store(store_tc)
-                    stores_iter.add_store(store_tc)
+                    rows[3, STORE_COLUMNS] = (store_tc.transactions,
+                                        store_tc.bytes_requested)
+                run_rows[:] += rows
+                iter_stats = stats_from_row(rows.sum(axis=0))
+                iter_stats.kernel_launches = launches
                 stages = []
                 if trace_on:
-                    for pname, pstats in (
-                        iter_phases if frontier_on else phases
-                    ).items():
-                        stages.append((pname, (
-                            self.cost_model.time_ms(pstats, occupancy=1.0)
-                            if frontier_on else phase_ms[pname]
-                        ), pstats))
-                    stages.append(("stores", self.cost_model.time_ms(
-                        stores_iter, occupancy=1.0), stores_iter))
+                    stages = [
+                        (name, self.cost_model.time_ms(st, occupancy=1.0), st)
+                        for name, st in zip(_PHASES, map(stats_from_row, rows))
+                    ]
                 yield SweepStep(
                     int(updated_idx.size),
                     iter_stats,
@@ -459,15 +445,8 @@ class VWCEngine(Engine):
                 )
 
         def finish(result: RunResult) -> None:
-            if frontier_on:
-                stage_stats = dict(phase_totals)
-            else:
-                executed = result.iterations - config.start_iteration
-                stage_stats = {
-                    name: s.scaled(executed) for name, s in phases.items()
-                }
-            stage_stats["stores"] = store_dynamic
-            result.stage_stats = stage_stats
+            result.stage_stats = dict(zip(_PHASES,
+                                          map(stats_from_row, run_rows)))
             if trace_on:
                 m = tracer.metrics
                 m.gauge("vwc.virtual_warp_size").set(self.virtual_warp_size)

@@ -7,9 +7,9 @@ that the CuSha and streamed fast operators share (the batched kernel step
 itself is :func:`repro.frameworks.cusha.wave_kernel`):
 
 - per-shard static :class:`~repro.gpu.stats.KernelStats` computed as one
-  ``(S, 9)`` matrix (:data:`STAT_FIELDS` column order) via the segmented
-  pricing helpers, so per-iteration stage-4 accrual is a row sum instead of
-  ``S`` object additions;
+  ``(S, 9)`` matrix per stage (:data:`~repro.gpu.stats.STAT_FIELDS` column
+  order) via the segmented pricing helpers, so an iteration's stage rows
+  are row sums instead of ``S`` object additions;
 - :func:`cusha_static_bundle` — the whole O(S) setup loop of ``cusha.py``
   evaluated without a Python-level shard loop (and cacheable across runs,
   see :mod:`repro.cache`).  The streamed engine prices its chunks from the
@@ -35,55 +35,17 @@ from repro.gpu.memory import (
     gather_transactions_segmented,
 )
 from repro.gpu.sharedmem import conflict_replays_segmented
-from repro.gpu.stats import (KernelStats, LOAD_GRANULARITY_BYTES,
+from repro.gpu.stats import (LOAD_GRANULARITY_BYTES, STAT_FIELDS,
                              STORE_GRANULARITY_BYTES)
 
 __all__ = [
-    "STAT_FIELDS",
-    "stats_from_row",
-    "add_row_into",
     "multi_arange",
-    "contiguous_slots",
     "window_rows_grouped",
     "CuShaStaticBundle",
     "cusha_static_bundle",
 ]
 
-#: Column order of the per-shard stats matrices (``kernel_launches`` is
-#: always zero for stage stats and is omitted).
-STAT_FIELDS = (
-    "load_transactions",
-    "load_bytes_requested",
-    "store_transactions",
-    "store_bytes_requested",
-    "active_lane_slots",
-    "total_lane_slots",
-    "warp_instructions",
-    "shared_atomics",
-    "global_atomics",
-)
-
 _WINDOW_CHUNK = 1 << 20
-
-
-def stats_from_row(row: np.ndarray) -> KernelStats:
-    """A :class:`KernelStats` from one matrix row (integers exact)."""
-    s = KernelStats()
-    add_row_into(s, row)
-    return s
-
-
-def add_row_into(stats: KernelStats, row: np.ndarray) -> None:
-    """Accumulate one stats-matrix row into ``stats`` in place."""
-    stats.load_transactions += int(row[0])
-    stats.load_bytes_requested += int(row[1])
-    stats.store_transactions += int(row[2])
-    stats.store_bytes_requested += int(row[3])
-    stats.active_lane_slots += int(row[4])
-    stats.total_lane_slots += int(row[5])
-    stats.warp_instructions += float(row[6])
-    stats.shared_atomics += int(row[7])
-    stats.global_atomics += int(row[8])
 
 
 def multi_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -99,14 +61,6 @@ def multi_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
         np.arange(total, dtype=np.int64)
         + np.repeat(starts - offsets, sizes)
     )
-
-
-def contiguous_slots(sizes: np.ndarray, warp_size: int) -> tuple[int, int]:
-    """Summed :func:`~repro.gpu.warp.slots_for_contiguous` over many lists."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    active = int(sizes.sum())
-    rows = int((-(-sizes // warp_size)).sum())
-    return active, rows * warp_size
 
 
 def window_rows_grouped(
@@ -155,14 +109,11 @@ def window_rows_grouped(
 @dataclass
 class CuShaStaticBundle:
     """Everything the CuSha fast path precomputes once per (graph, N, mode,
-    program layout): the per-iteration base stats of stages 1-3 (both as
-    aggregates and as per-shard matrices — frontier-gated sweeps charge row
-    sums over the shards actually processed) and the per-shard stage-4
-    stats matrix, plus each shard's stage-2 bank-conflict replay count."""
+    program layout): the per-shard stats matrices of the four stages (an
+    iteration charges the row sums over the shards it processes, and
+    stage 4 over the shards that write back), plus each shard's stage-2
+    bank-conflict replay count."""
 
-    base1: KernelStats
-    base2: KernelStats
-    base3: KernelStats
     stage1: np.ndarray  # (S, len(STAT_FIELDS)) float64
     stage2: np.ndarray  # (S, len(STAT_FIELDS)) float64
     stage3: np.ndarray  # (S, len(STAT_FIELDS)) float64
@@ -177,9 +128,9 @@ def _stage_base_matrices(
     """Stages 1-3 per-shard static stats matrices, vectorized over shards,
     plus the per-shard replay counts priced into stage 2.
 
-    Every entry is integer-valued, so the aggregate stats (``base1`` etc.)
-    are exact row sums of these matrices — the frontier-gated partial sums
-    and the historical full-sweep aggregates can never drift apart.
+    Every entry is integer-valued, so the full-sweep stage stats are exact
+    row sums of these matrices — the frontier-gated partial sums and the
+    full-sweep aggregates can never drift apart.
     """
     n = sh.num_vertices
     N = sh.vertices_per_shard
@@ -303,9 +254,6 @@ def cusha_static_bundle(
     else:
         stage4 = _stage4_matrix_cw(cw, warp, vbytes)
     return CuShaStaticBundle(
-        base1=stats_from_row(st1.sum(axis=0)),
-        base2=stats_from_row(st2.sum(axis=0)),
-        base3=stats_from_row(st3.sum(axis=0)),
         stage1=st1,
         stage2=st2,
         stage3=st3,

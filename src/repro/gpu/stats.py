@@ -18,9 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.gpu.memory import TransactionCount
 
-__all__ = ["KernelStats", "COUNTER_FIELDS", "field_diffs"]
+__all__ = ["KernelStats", "STAT_FIELDS", "STORE_COLUMNS", "stats_from_row",
+           "stats_to_row", "COUNTER_FIELDS", "field_diffs"]
 
 
 LOAD_GRANULARITY_BYTES = 32
@@ -184,6 +187,43 @@ class KernelStats:
             self.shared_atomics * k,
             self.global_atomics * k,
         )
+
+
+#: Column order of a stats row: the :class:`KernelStats` fields without
+#: ``kernel_launches``, which is always zero for stage and per-shard stats.
+#: The engines' fast sweeps keep their stage breakdowns as float64 rows;
+#: every counter is an integer and every ``warp_instructions`` value a
+#: small multiple of 1/4, so row sums are exact in any order.
+STAT_FIELDS: tuple[str, ...] = (
+    "load_transactions",
+    "load_bytes_requested",
+    "store_transactions",
+    "store_bytes_requested",
+    "active_lane_slots",
+    "total_lane_slots",
+    "warp_instructions",
+    "shared_atomics",
+    "global_atomics",
+)
+
+#: The two :data:`STAT_FIELDS` columns a store's ``TransactionCount`` fills.
+STORE_COLUMNS = [STAT_FIELDS.index("store_transactions"),
+                 STAT_FIELDS.index("store_bytes_requested")]
+
+
+def stats_to_row(stats: KernelStats) -> np.ndarray:
+    """``stats`` as one float64 row in :data:`STAT_FIELDS` order."""
+    return np.array([getattr(stats, f) for f in STAT_FIELDS],
+                    dtype=np.float64)
+
+
+def stats_from_row(row: np.ndarray) -> KernelStats:
+    """The :class:`KernelStats` of one row (the inverse of
+    :func:`stats_to_row`; ``kernel_launches`` is 0)."""
+    return KernelStats(**{
+        f: float(v) if f == "warp_instructions" else int(v)
+        for f, v in zip(STAT_FIELDS, row)
+    })
 
 
 #: Counter fields the static perf auditor can predict and compare.

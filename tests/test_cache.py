@@ -152,6 +152,17 @@ class TestEngineKeying:
             exec_path="reference", allow_partial=True, max_iterations=10))
         assert c.counters() == (0, 0)
         assert len(c) == 0
+        # The single-path CSR engines and the streamed engine skip the
+        # cache too, and report the path they were asked for.
+        for key in ("vwc-8", "mtcpu-4", "cusha-streamed"):
+            r = repro.make_engine(key, shard_size=64, cache=c).run(
+                g, make_program("cc", g), config=RunConfig(
+                    exec_path="reference", allow_partial=True,
+                    max_iterations=10))
+            assert r.exec_path == "reference", key
+            assert (r.cache_hits, r.cache_misses) == (0, 0), key
+            assert c.counters() == (0, 0), key
+            assert len(c) == 0, key
 
     def test_cache_disabled(self):
         g = _graph()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import PROGRAM_NAMES, make_program
-from repro.frameworks import CuShaEngine, RunConfig, StreamedCuShaEngine
+from repro.frameworks import CuShaEngine, RunConfig, StreamedCuShaEngine, cusha
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_weights, rmat
 from repro.telemetry.tracer import Tracer
@@ -31,6 +31,16 @@ def _assert_equivalent(fast, ref, label=""):
         assert fast.stage_stats.keys() == ref.stage_stats.keys(), label
         for k in fast.stage_stats:
             assert fast.stage_stats[k] == ref.stage_stats[k], (label, k)
+
+
+def _assert_same_stage_spans(tf, tr):
+    sf = [s for s in tf.spans if s.kind in ("stage", "transfer")]
+    sr = [s for s in tr.spans if s.kind in ("stage", "transfer")]
+    assert len(sf) == len(sr) > 0
+    for a, b in zip(sf, sr):
+        assert a.name == b.name
+        assert a.model_ms == b.model_ms
+        assert a.attrs.get("stats") == b.attrs.get("stats")
 
 
 def _run_both(engine, graph, program_name, max_iterations=80, **prog_kwargs):
@@ -85,13 +95,53 @@ class TestCuShaMatrix:
             exec_path="reference", tracer=tr, allow_partial=True,
             max_iterations=25))
         _assert_equivalent(fast, ref)
-        sf = [s for s in tf.spans if s.kind in ("stage", "transfer")]
-        sr = [s for s in tr.spans if s.kind in ("stage", "transfer")]
-        assert len(sf) == len(sr) > 0
-        for a, b in zip(sf, sr):
-            assert a.name == b.name
-            assert a.model_ms == b.model_ms
-            assert a.attrs.get("stats") == b.attrs.get("stats")
+        _assert_same_stage_spans(tf, tr)
+
+    @pytest.mark.parametrize("mode", ["gs", "cw"])
+    @pytest.mark.parametrize("frontier", ["off", "sparse"])
+    @pytest.mark.parametrize("always_writeback", [False, True])
+    @pytest.mark.parametrize("program_name", ["bfs", "sssp", "pr", "cc"])
+    def test_waves_of_many_shards(self, graph, mode, frontier,
+                                  always_writeback, program_name):
+        """75 shards of 16 vertices run as a wave of 48 and a wave of 27
+        on the GTX 780 model, so every iteration's stores, stage rows and
+        frontier marks span several waves of several shards each."""
+        eng = CuShaEngine(mode, vertices_per_shard=16,
+                          always_writeback=always_writeback)
+        runs = []
+        for path in ("fast", "reference"):
+            tracer = Tracer()
+            result = eng.run(graph, make_program(program_name, graph),
+                             config=RunConfig(
+                                 exec_path=path, tracer=tracer,
+                                 frontier=frontier, allow_partial=True,
+                                 max_iterations=40))
+            gauges = tracer.metrics
+            assert gauges.gauge("cusha.num_shards").value == 75
+            assert gauges.gauge("cusha.wave_size").value == 48
+            runs.append((result, tracer))
+        (fast, tf), (ref, tr) = runs
+        label = f"{mode}/{frontier}/{always_writeback}/{program_name}"
+        _assert_equivalent(fast, ref, label)
+        assert fast.edges_processed == ref.edges_processed, label
+        assert fast.shards_skipped == ref.shards_skipped, label
+        if frontier != "off":
+            assert np.array_equal(fast.frontier_mask, ref.frontier_mask)
+        _assert_same_stage_spans(tf, tr)
+
+    def test_one_store_pricing_call_per_iteration(self, graph, monkeypatch):
+        calls = []
+        price = cusha.gather_transactions_segmented
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return price(*args, **kwargs)
+
+        monkeypatch.setattr(cusha, "gather_transactions_segmented", counted)
+        eng = CuShaEngine("cw", vertices_per_shard=16)  # two waves
+        r = eng.run(graph, make_program("pr", graph), config=RunConfig(
+            allow_partial=True, max_iterations=10))
+        assert len(calls) == r.iterations == 10
 
 
 class TestStreamedMatrix:

@@ -21,6 +21,8 @@ from repro.gpu.sharedmem import (
     conflict_replays,
     conflict_replays_segmented,
 )
+from repro.gpu.stats import (KernelStats, STAT_FIELDS, stats_from_row,
+                             stats_to_row)
 from repro.reference import golden
 from repro.vertexcentric.datatypes import UINT_INF
 
@@ -333,6 +335,29 @@ def test_contiguous_transactions_near_optimal(num, item_bytes, start):
         optimal = -(-num * item_bytes // 32)
         rows = -(-num // 32)
         assert optimal <= tc.transactions <= optimal + rows + 1
+
+
+@st.composite
+def stage_stats(draw):
+    """A stage's stats: integer counters, and ``warp_instructions`` in
+    quarters (VWC's ``vw=2`` reduction charges 1/4 per vertex)."""
+    counters = {f: draw(st.integers(0, 2**50)) for f in STAT_FIELDS
+                if f != "warp_instructions"}
+    quarters = draw(st.integers(0, 2**50))
+    return KernelStats(warp_instructions=quarters / 4, **counters)
+
+
+@given(stage_stats())
+@settings(max_examples=100, deadline=None)
+@example(KernelStats())
+@example(KernelStats(warp_instructions=0.25, total_lane_slots=2))
+def test_stats_row_round_trip(stats):
+    row = stats_to_row(stats)
+    assert row.dtype == np.float64 and row.shape == (len(STAT_FIELDS),)
+    back = stats_from_row(row)
+    assert back == stats
+    assert all(type(getattr(back, f)) is type(getattr(stats, f))
+               for f in STAT_FIELDS)
 
 
 @given(small_graphs(max_vertices=25, max_edges=80), st.integers(1, 9))
