@@ -42,6 +42,8 @@ Quickstart
 True
 """
 
+import dataclasses
+
 from repro.algorithms import PROGRAM_NAMES, default_source, make_program
 from repro.cache import RepresentationCache, default_cache, graph_fingerprint
 from repro.errors import (
@@ -66,15 +68,13 @@ from repro.frameworks import (
     engine_keys,
     make_engine,
 )
+from repro.frameworks.base import run_config as _run_config
 from repro.graph import CSR, ConcatenatedWindows, DiGraph, GShards, select_shard_size
 from repro.gpu import GTX780, I7_3930K, KernelStats
 from repro.service import JobHandle, JobRequest, JobStatus, Service, TenantQuota
 from repro.vertexcentric import VertexProgram
 
 __version__ = "1.10.0"
-
-
-_UNSET = object()
 
 
 def run(
@@ -84,86 +84,36 @@ def run(
     engine: str = "cusha-cw",
     source: int | None = None,
     config: RunConfig | None = None,
-    max_iterations=_UNSET,
-    allow_partial=_UNSET,
-    tracer=_UNSET,
-    exec_path=_UNSET,
-    validate=_UNSET,
-    certify=_UNSET,
-    cache=None,
-    faults=_UNSET,
-    **engine_opts,
+    **options,
 ) -> RunResult:
     """One-call façade: run ``program_name`` on ``graph`` with ``engine``.
 
     ``engine`` is a :func:`repro.frameworks.make_engine` key (``cusha-cw``,
-    ``cusha-gs``, ``vwc-8``, ``mtcpu``, ``scalar``, ...); extra keyword
-    arguments are forwarded to the factory (e.g. ``shard_size=64``).
-    ``source`` seeds the traversal programs (BFS/SSSP/SSWP); ``tracer``
-    attaches a :class:`repro.telemetry.Tracer` for structured tracing.
+    ``cusha-gs``, ``vwc-8``, ``mtcpu``, ``scalar``, ...).  ``source`` seeds
+    the traversal programs (BFS/SSSP/SSWP).
 
     ``config=RunConfig(...)`` passes a prebuilt run configuration straight
     through to :meth:`Engine.run` — the same parameter name
     :meth:`Engine.run`, :meth:`repro.resilience.ResilientRunner.run`, and
-    :meth:`repro.service.Service.submit` use.  It cannot be combined with
-    the loose convenience keywords below (``TypeError`` if you try);
-    without it, the loose keywords are folded into a ``RunConfig``:
-
-    ``exec_path`` selects the wave-batched vectorized core (``"fast"``,
-    default) or the per-shard reference loop (``"reference"``); the two are
-    equivalence-gated to identical results (see ``docs/performance.md``).
-    ``cache`` controls the cross-run representation memo: ``None`` uses the
-    process-wide :func:`repro.cache.default_cache`, ``False`` disables it,
-    and an explicit :class:`repro.cache.RepresentationCache` scopes it
-    (``cache`` is an engine-factory option, so it composes with
-    ``config=``).
-    ``validate`` gates the :mod:`repro.analysis` preflight (``"off"``,
-    ``"structure"``, ``"full"``, or ``"perf"`` — see ``docs/analysis.md``).
-    ``certify`` gates the kernel property certifier (``"off"``, ``"warn"``,
-    or ``"enforce"`` — C4xx codes in ``docs/analysis.md``): frontier-gated
-    and async runs consult the program's certificate, refusing
-    (:class:`repro.errors.CertificationError`) under ``"enforce"`` or
-    degrading to the safe full-sweep path under ``"warn"``.
-    ``faults`` arms a :class:`repro.resilience.FaultPlan` at the engine's
-    fault-hook sites (``None``, the default, is the zero-overhead no-op —
-    see ``docs/resilience.md``).
+    :meth:`repro.service.Service.submit` use.  Without it, any keyword
+    named after a :class:`RunConfig` field (``max_iterations``,
+    ``frontier``, ``devices``, ``tracer``, ...) is folded into one; mixing
+    the two is a ``TypeError``.  Every other keyword is an engine option
+    forwarded to :func:`repro.make_engine` (e.g. ``shard_size=64``, or
+    ``cache=False`` to bypass the representation memo), where a name
+    outside the option vocabulary raises
+    :class:`repro.errors.ConfigError`.
 
     >>> result = repro.run(g, "bfs", engine="vwc-8", source=0)
     >>> result = repro.run(g, "bfs", config=RunConfig(max_iterations=50,
     ...                                               allow_partial=True))
     """
-    loose = {
-        name: value
-        for name, value in (
-            ("max_iterations", max_iterations),
-            ("allow_partial", allow_partial),
-            ("tracer", tracer),
-            ("exec_path", exec_path),
-            ("validate", validate),
-            ("certify", certify),
-            ("faults", faults),
-        )
-        if value is not _UNSET
-    }
-    if config is not None and loose:
-        raise TypeError(
-            "repro.run() got both config=RunConfig(...) and the loose "
-            f"keyword(s) {', '.join(sorted(loose))}; put those settings "
-            "inside the RunConfig"
-        )
+    settings = {f.name: options.pop(f.name)
+                for f in dataclasses.fields(RunConfig) if f.name in options}
+    config = _run_config(config, settings, caller="repro.run()")
     prog_kwargs = {} if source is None else {"source": source}
     program = make_program(program_name, graph, **prog_kwargs)
-    eng = make_engine(engine, cache=cache, **engine_opts)
-    if config is None:
-        loose_faults = loose.pop("faults", None)
-        loose_tracer = loose.pop("tracer", None)
-        config = RunConfig(
-            **loose,
-            **({} if loose_faults is None else {"faults": loose_faults}),
-        )
-        if loose_tracer is not None:
-            config = config.with_tracer(loose_tracer)
-    return eng.run(graph, program, config=config)
+    return make_engine(engine, **options).run(graph, program, config=config)
 
 
 __all__ = [

@@ -24,6 +24,8 @@ graph).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.errors import ConfigError
@@ -73,9 +75,16 @@ def default_source(graph: DiGraph) -> int:
 
 
 def _check_vertex(graph: DiGraph, knob: str, vertex) -> None:
-    """Refuse a seeded vertex id outside ``[0, n)``: NumPy indexing would
-    silently wrap a negative id and fail late, untyped, on a large one."""
-    if not 0 <= int(vertex) < graph.num_vertices:
+    """Refuse a seeded vertex id that is not an integer in ``[0, n)``:
+    NumPy indexing would silently truncate a fractional id, wrap a
+    negative one, and fail late, untyped, on a large one."""
+    try:
+        index = operator.index(vertex)
+    except TypeError:
+        raise ConfigError(
+            f"{knob} vertex {vertex!r} is not an integer id", knob=knob
+        ) from None
+    if not 0 <= index < graph.num_vertices:
         raise ConfigError(
             f"{knob} vertex {vertex} is outside the graph's vertex range "
             f"[0, {graph.num_vertices})",

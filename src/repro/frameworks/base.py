@@ -18,6 +18,7 @@ only ever see the config object.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -35,6 +36,7 @@ __all__ = [
     "FaultHooks",
     "NULL_FAULTS",
     "RunConfig",
+    "run_config",
     "RunResult",
     "Engine",
     "ConvergenceError",
@@ -105,14 +107,32 @@ class FaultHooks:
 NULL_FAULTS = FaultHooks()
 
 
+def _not_integer(value) -> bool:
+    try:
+        operator.index(value)
+    except TypeError:
+        return True
+    return False
+
+
 #: Declarative :class:`RunConfig` compatibility table: ``(knob, predicate,
 #: message)`` rows checked in order at construction.  A predicate returning
 #: ``True`` means the combination is invalid and construction raises
 #: :class:`~repro.errors.ConfigError` (a ``ValueError`` subclass, so legacy
 #: ``except ValueError`` callers keep working).  Keeping the rules in one
 #: table — rather than scattered ``if``/``raise`` pairs — makes the set of
-#: invalid knob combinations auditable and exhaustively testable.
+#: invalid knob combinations auditable and exhaustively testable.  The
+#: integer rows come first, so the range rows below only compare numbers.
 _INVALID_COMBOS: tuple[tuple[str, Callable, str], ...] = (
+    ("max_iterations",
+     lambda c: _not_integer(c.max_iterations),
+     "max_iterations must be an integer"),
+    ("start_iteration",
+     lambda c: _not_integer(c.start_iteration),
+     "start_iteration must be an integer"),
+    ("devices",
+     lambda c: _not_integer(c.devices),
+     "devices must be an integer"),
     ("exec_path",
      lambda c: c.exec_path not in ("fast", "reference"),
      "exec_path must be 'fast' or 'reference'"),
@@ -309,6 +329,29 @@ class RunConfig:
         return np.array(self.resume_values, copy=True)
 
 
+def run_config(
+    config: RunConfig | None, settings: dict, *, caller: str
+) -> RunConfig:
+    """The one :class:`RunConfig` a call configured: ``config`` itself, or
+    one built from ``settings``, keywords named after its fields.
+
+    Passing both is a ``TypeError`` naming ``caller``; ``tracer=None``
+    and ``faults=None`` keep their defaults.
+    """
+    if config is not None and settings:
+        raise TypeError(
+            f"{caller} got both config=RunConfig(...) and the keyword(s) "
+            f"{', '.join(sorted(settings))}; put those settings inside "
+            "the RunConfig"
+        )
+    if config is not None:
+        return config
+    return RunConfig(**{
+        name: value for name, value in settings.items()
+        if value is not None or name not in ("tracer", "faults")
+    })
+
+
 @dataclass
 class RunResult:
     """Everything one engine run produced."""
@@ -448,18 +491,20 @@ class Engine(ABC):
         if config.resume_values is not None and (
             len(config.resume_values) != graph.num_vertices
         ):
-            raise ValueError(
+            raise ConfigError(
                 "resume_values has "
                 f"{len(config.resume_values)} entries for a graph with "
-                f"{graph.num_vertices} vertices"
+                f"{graph.num_vertices} vertices",
+                knob="resume_values",
             )
         if config.resume_frontier is not None and (
             len(config.resume_frontier) != graph.num_vertices
         ):
-            raise ValueError(
+            raise ConfigError(
                 "resume_frontier has "
                 f"{len(config.resume_frontier)} entries for a graph with "
-                f"{graph.num_vertices} vertices"
+                f"{graph.num_vertices} vertices",
+                knob="resume_frontier",
             )
         if config.validate != "off":
             # Imported here: repro.analysis depends on the graph and

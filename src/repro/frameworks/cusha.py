@@ -70,6 +70,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.cache import cached, counted, graph_fingerprint, resolve_cache
+from repro.errors import ConfigError
 from repro.frameworks import costs
 from repro.frameworks.base import Engine, RunConfig, RunResult
 from repro.frameworks.sweep import (SweepContext, SweepPlan, SweepStep,
@@ -375,9 +376,10 @@ class CuShaEngine(Engine):
         cache=None,
     ) -> None:
         if mode not in ("gs", "cw"):
-            raise ValueError("mode must be 'gs' or 'cw'")
+            raise ConfigError("mode must be 'gs' or 'cw'", knob="mode")
         if sync_mode not in ("wave", "async", "bsp"):
-            raise ValueError("sync_mode must be 'wave', 'async', or 'bsp'")
+            raise ConfigError("sync_mode must be 'wave', 'async', or 'bsp'",
+                              knob="sync_mode")
         self.mode = mode
         self.vertices_per_shard = vertices_per_shard
         self.spec = spec

@@ -24,6 +24,7 @@ from __future__ import annotations
 from repro.frameworks.base import (ConvergenceError, Engine, IterationTrace,
                                    RunConfig, RunResult)
 from repro.cache import counted, resolve_cache
+from repro.errors import ConfigError
 from repro.frameworks.csrloop import (CSRProblem, cache_option,
                                      iterate_chunks, preflight_csr)
 from repro.graph.digraph import DiGraph
@@ -44,7 +45,7 @@ class MTCPUEngine(Engine):
         self, threads: int = 12, *, spec: CPUSpec = I7_3930K, cache=None
     ) -> None:
         if threads < 1:
-            raise ValueError("threads must be positive")
+            raise ConfigError("threads must be positive", knob="threads")
         self.threads = threads
         self.spec = spec
         self.cache = cache

@@ -15,29 +15,23 @@ factories that ``cli.py`` and ``harness/runner.py`` each grew.  Keys:
 
 Options contract
 ----------------
-``make_engine`` accepts a *shared* option vocabulary and each engine family
-picks out what it understands; unknown or inapplicable options are
-**silently ignored**, so one call site (e.g. the grid runner) can pass
-``gpu_spec=...`` to every key without branching on family.  Because GPU and
-CPU engines both call their hardware model ``spec``, the factory vocabulary
-disambiguates: ``gpu_spec`` reaches the GPU engines, ``cpu_spec`` reaches
-the CPU engine, and plain ``spec`` reaches whichever family the key selects.
-
-Recognized options: ``shard_size`` (a.k.a. ``vertices_per_shard``),
-``gpu_spec``, ``cpu_spec``, ``spec``, ``pcie``, ``sync_mode``,
-``threads_per_block``, ``resident_blocks``, ``always_writeback``,
-``address_dilation``, ``chunk_vertices``, ``defer_outliers``,
-``outlier_factor``, ``device_memory_bytes``, ``threads``, ``cache``
-(representation-cache selection, see :mod:`repro.cache`: ``None`` =
-process-wide default, ``False`` = disabled, or an explicit
-``RepresentationCache``).
+``make_engine`` accepts one *shared* option vocabulary, the union of the
+per-family tables in :data:`ENGINE_OPTIONS`.  Each engine family picks out
+what it understands and ignores the vocabulary names only another family
+takes, so one call site (e.g. the grid runner) can pass ``gpu_spec=...``
+to every key without branching on family; a name outside the vocabulary
+raises :class:`~repro.errors.ConfigError` naming it.  Where several
+factory names feed one constructor parameter (``gpu_spec`` / ``spec``,
+``shard_size`` / ``vertices_per_shard``), the first non-None one wins.
+Builders added through :func:`register_engine` receive their options
+untouched.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import EngineKeyError
+from repro.errors import ConfigError, EngineKeyError
 from repro.frameworks.base import Engine
 from repro.frameworks.cusha import CuShaEngine
 from repro.frameworks.mtcpu import MTCPU_THREAD_COUNTS, MTCPUEngine
@@ -45,44 +39,63 @@ from repro.frameworks.scalar import ScalarReferenceEngine
 from repro.frameworks.streamed import StreamedCuShaEngine
 from repro.frameworks.vwc import VIRTUAL_WARP_SIZES, VWCEngine
 
-__all__ = ["make_engine", "engine_keys", "register_engine", "EngineKeyError"]
+__all__ = ["make_engine", "engine_keys", "register_engine", "EngineKeyError",
+           "ENGINE_OPTIONS", "OPTION_NAMES"]
 
 
-def _pick(opts: dict, *names, default=None):
-    for n in names:
-        if n in opts and opts[n] is not None:
-            return opts[n]
-    return default
+def _same(*names: str) -> dict[str, tuple[str, ...]]:
+    return {name: (name,) for name in names}
+
+
+_SHARD = ("shard_size", "vertices_per_shard")
+
+#: Per-family engine options: constructor parameter -> the factory names
+#: that feed it, in precedence order.
+ENGINE_OPTIONS: dict[str, dict[str, tuple[str, ...]]] = {
+    "cusha": {"vertices_per_shard": _SHARD, "spec": ("gpu_spec", "spec"),
+              **_same("pcie", "sync_mode", "threads_per_block",
+                      "resident_blocks", "always_writeback", "cache")},
+    "streamed": {"vertices_per_shard": _SHARD, "spec": ("gpu_spec", "spec"),
+                 **_same("pcie", "device_memory_bytes", "cache")},
+    "vwc": {"spec": ("gpu_spec", "spec"),
+            **_same("pcie", "address_dilation", "chunk_vertices",
+                    "defer_outliers", "outlier_factor", "cache")},
+    "mtcpu": {"spec": ("cpu_spec", "spec"), **_same("threads", "cache")},
+    "csrloop": {"spec": ("cpu_spec", "spec"), **_same("cache")},
+    "scalar": {"vertices_per_shard": _SHARD},
+}
+
+#: The shared vocabulary ``make_engine`` accepts for its built-in keys.
+OPTION_NAMES: frozenset[str] = frozenset(
+    name for table in ENGINE_OPTIONS.values()
+    for names in table.values() for name in names
+)
+
+
+def _options(family: str, opts: dict) -> dict:
+    """``family``'s constructor keywords picked out of ``opts``."""
+    unknown = sorted(set(opts) - OPTION_NAMES)
+    if unknown:
+        raise ConfigError(
+            f"unknown engine option {unknown[0]!r}; expected one of "
+            f"{sorted(OPTION_NAMES)}",
+            knob=unknown[0],
+        )
+    kwargs = {}
+    for param, names in ENGINE_OPTIONS[family].items():
+        for name in names:
+            if opts.get(name) is not None:
+                kwargs[param] = opts[name]
+                break
+    return kwargs
 
 
 def _build_cusha(key: str, opts: dict) -> Engine:
-    mode = key.split("-", 1)[1]
-    kwargs = {}
-    shard = _pick(opts, "shard_size", "vertices_per_shard")
-    if shard is not None:
-        kwargs["vertices_per_shard"] = shard
-    spec = _pick(opts, "gpu_spec", "spec")
-    if spec is not None:
-        kwargs["spec"] = spec
-    for name in ("pcie", "sync_mode", "threads_per_block", "resident_blocks",
-                 "always_writeback", "cache"):
-        if opts.get(name) is not None:
-            kwargs[name] = opts[name]
-    return CuShaEngine(mode, **kwargs)
+    return CuShaEngine(key.split("-", 1)[1], **_options("cusha", opts))
 
 
 def _build_streamed(key: str, opts: dict) -> Engine:
-    kwargs = {}
-    shard = _pick(opts, "shard_size", "vertices_per_shard")
-    if shard is not None:
-        kwargs["vertices_per_shard"] = shard
-    spec = _pick(opts, "gpu_spec", "spec")
-    if spec is not None:
-        kwargs["spec"] = spec
-    for name in ("pcie", "device_memory_bytes", "cache"):
-        if opts.get(name) is not None:
-            kwargs[name] = opts[name]
-    return StreamedCuShaEngine(**kwargs)
+    return StreamedCuShaEngine(**_options("streamed", opts))
 
 
 def _build_vwc(key: str, opts: dict) -> Engine:
@@ -92,52 +105,30 @@ def _build_vwc(key: str, opts: dict) -> Engine:
         raise EngineKeyError(
             f"{key!r}: expected vwc-<N> with N in {VIRTUAL_WARP_SIZES}"
         ) from None
-    kwargs = {}
-    spec = _pick(opts, "gpu_spec", "spec")
-    if spec is not None:
-        kwargs["spec"] = spec
-    for name in ("pcie", "address_dilation", "chunk_vertices",
-                 "defer_outliers", "outlier_factor", "cache"):
-        if opts.get(name) is not None:
-            kwargs[name] = opts[name]
-    return VWCEngine(w, **kwargs)
+    return VWCEngine(w, **_options("vwc", opts))
 
 
 def _build_mtcpu(key: str, opts: dict) -> Engine:
+    kwargs = _options("mtcpu", opts)
     parts = key.split("-", 1)
     if len(parts) == 2:
         try:
-            threads = int(parts[1])
+            kwargs["threads"] = int(parts[1])
         except ValueError:
             raise EngineKeyError(
                 f"{key!r}: expected mtcpu or mtcpu-<threads>"
             ) from None
-    else:
-        threads = _pick(opts, "threads", default=12)
-    kwargs = {}
-    spec = _pick(opts, "cpu_spec", "spec")
-    if spec is not None:
-        kwargs["spec"] = spec
-    if opts.get("cache") is not None:
-        kwargs["cache"] = opts["cache"]
-    return MTCPUEngine(threads, **kwargs)
+    return MTCPUEngine(**kwargs)
 
 
 def _build_csrloop(key: str, opts: dict) -> Engine:
-    kwargs = {}
-    spec = _pick(opts, "cpu_spec", "spec")
-    if spec is not None:
-        kwargs["spec"] = spec
-    if opts.get("cache") is not None:
-        kwargs["cache"] = opts["cache"]
-    engine = MTCPUEngine(1, **kwargs)
+    engine = MTCPUEngine(1, **_options("csrloop", opts))
     engine.name = "csrloop"
     return engine
 
 
 def _build_scalar(key: str, opts: dict) -> Engine:
-    shard = _pick(opts, "shard_size", "vertices_per_shard", default=4)
-    return ScalarReferenceEngine(vertices_per_shard=shard)
+    return ScalarReferenceEngine(**_options("scalar", opts))
 
 
 _EXACT: dict[str, Callable[[str, dict], Engine]] = {

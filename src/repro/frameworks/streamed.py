@@ -57,6 +57,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.cache import counted, resolve_cache
+from repro.errors import ConfigError
 from repro.frameworks.base import Engine, RunConfig, RunResult
 from repro.frameworks.cusha import (CuShaEngine, entry_arrays, pack_shards,
                                     shard_blocks, shard_kernel, shard_pricing,
@@ -144,7 +145,8 @@ class StreamedCuShaEngine(Engine):
         cache=None,
     ) -> None:
         if device_memory_bytes <= 0:
-            raise ValueError("device_memory_bytes must be positive")
+            raise ConfigError("device_memory_bytes must be positive",
+                              knob="device_memory_bytes")
         self.device_memory_bytes = device_memory_bytes
         self.vertices_per_shard = vertices_per_shard
         self.spec = spec

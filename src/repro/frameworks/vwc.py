@@ -23,6 +23,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.cache import cached, counted, graph_fingerprint, resolve_cache
+from repro.errors import ConfigError
 from repro.frameworks import costs
 from repro.frameworks.base import Engine, RunConfig, RunResult
 from repro.frameworks.csrloop import (CSRProblem, cache_option,
@@ -68,9 +69,13 @@ class VWCEngine(Engine):
         cache=None,
     ) -> None:
         if virtual_warp_size not in (1, 2, 4, 8, 16, 32):
-            raise ValueError("virtual_warp_size must divide the physical warp")
+            raise ConfigError(
+                "virtual_warp_size must divide the physical warp",
+                knob="virtual_warp_size",
+            )
         if address_dilation < 1:
-            raise ValueError("address_dilation must be >= 1")
+            raise ConfigError("address_dilation must be >= 1",
+                              knob="address_dilation")
         self.virtual_warp_size = virtual_warp_size
         # When pricing a 1/k-scale graph, multiplying data-dependent gather
         # indices by k restores the full-size graph's address-space density:

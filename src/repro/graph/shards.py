@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.graph.digraph import DiGraph
 from repro.graph.order import edge_order
 
@@ -69,7 +70,8 @@ class GShards:
 
     def __init__(self, graph: DiGraph, vertices_per_shard: int) -> None:
         if vertices_per_shard <= 0:
-            raise ValueError("vertices_per_shard must be positive")
+            raise ConfigError("vertices_per_shard must be positive",
+                              knob="vertices_per_shard")
         n, m = graph.num_vertices, graph.num_edges
         N = int(vertices_per_shard)
         S = max(1, -(-n // N))  # ceil(n / N), at least one shard

@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.violations import Violation
-from repro.frameworks.base import (ConvergenceError, NULL_FAULTS, RunConfig,
-                                   RunResult)
+from repro.frameworks.base import (ConvergenceError, RunConfig, RunResult,
+                                   run_config)
 from repro.frameworks.registry import make_engine
 from repro.gpu.stats import KernelStats
 from repro.resilience.checkpoint import CheckpointStore
@@ -168,8 +168,6 @@ class ResilientRunner:
         self.checkpoint_cache = checkpoint_cache
         self.engine_opts = engine_opts
 
-    _UNSET = object()
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -177,17 +175,14 @@ class ResilientRunner:
         program,
         *,
         config: RunConfig | None = None,
-        faults=_UNSET,
-        max_iterations=_UNSET,
-        allow_partial=_UNSET,
-        collect_traces=_UNSET,
-        tracer=_UNSET,
+        **settings,
     ) -> ResilientResult:
         """Supervised run; returns a :class:`ResilientResult`.
 
         Settings can be passed either as ``config=RunConfig(...)`` — the
         same parameter name :meth:`Engine.run` and ``Service.submit`` use —
-        or as the loose convenience keywords, but not both (``TypeError``).
+        or as keywords named after its fields, but not both
+        (``TypeError``).
         The supervisor owns segmentation, so ``config.exec_path`` /
         ``resume_values`` / ``start_iteration`` are ignored: the
         degradation ladder decides the execution path per rung, and
@@ -197,43 +192,12 @@ class ResilientRunner:
         via ``resume_frontier`` so a supervised sparse run stays
         bit-identical to an uninterrupted one.
         """
-        _UNSET = ResilientRunner._UNSET
-        loose = {
-            name: value
-            for name, value in (
-                ("faults", faults),
-                ("max_iterations", max_iterations),
-                ("allow_partial", allow_partial),
-                ("collect_traces", collect_traces),
-                ("tracer", tracer),
-            )
-            if value is not _UNSET
-        }
-        if config is not None and loose:
-            raise TypeError(
-                "ResilientRunner.run() got both config=RunConfig(...) and "
-                f"the loose keyword(s) {', '.join(sorted(loose))}; put "
-                "those settings inside the RunConfig"
-            )
-        if config is not None:
-            faults = config.faults
-            max_iterations = config.max_iterations
-            allow_partial = config.allow_partial
-            collect_traces = config.collect_traces
-            tracer = config.tracer
-            frontier_mode = config.frontier
-            devices = config.devices
-            placement = config.placement
-        else:
-            faults = loose.get("faults", NULL_FAULTS)
-            max_iterations = loose.get("max_iterations", 10_000)
-            allow_partial = loose.get("allow_partial", False)
-            collect_traces = loose.get("collect_traces", True)
-            tracer = loose.get("tracer")
-            frontier_mode = "off"
-            devices = 1
-            placement = None
-        tracer = NULL_TRACER if tracer is None else tracer
+        config = run_config(config, settings, caller="ResilientRunner.run()")
+        faults = config.faults
+        max_iterations = config.max_iterations
+        devices = config.devices
+        placement = config.placement
+        tracer = NULL_TRACER if config.tracer is None else config.tracer
         metrics = tracer.metrics
         steps = degradation_steps(self.engine, self.ladder)
         store = CheckpointStore(
@@ -267,22 +231,22 @@ class ResilientRunner:
             if seg_cap <= done:
                 break  # hit the absolute cap without converging
             engine = make_engine(engine_key, **self.engine_opts)
-            config = RunConfig(
+            seg_config = RunConfig(
                 max_iterations=seg_cap,
                 allow_partial=True,
-                collect_traces=collect_traces,
+                collect_traces=config.collect_traces,
                 tracer=tracer,
                 exec_path=exec_path,
                 faults=faults,
                 resume_values=values,
                 start_iteration=done,
-                frontier=frontier_mode,
+                frontier=config.frontier,
                 resume_frontier=fmask if values is not None else None,
                 devices=devices,
                 placement=placement,
             )
             try:
-                seg = engine.run(graph, program, config=config)
+                seg = engine.run(graph, program, config=seg_config)
             except InjectedFault as fault:
                 state = {
                     "step_idx": step_idx,
@@ -340,7 +304,7 @@ class ResilientRunner:
         if (
             not out.result.converged
             and out.result.completed
-            and not allow_partial
+            and not config.allow_partial
         ):
             raise ConvergenceError(
                 f"{self.engine}/{program.name} did not converge in "
@@ -384,21 +348,8 @@ class ResilientRunner:
             state["attempt"] += 1
             out.retries += 1
             out.backoff_total_ms += backoff
-            ckpt, bad = store.restore()
-            out.violations.extend(bad)
-            for v in bad:
-                record(RecoveryEvent(
-                    action="detect", code="R305", engine=engine_key,
-                    exec_path=exec_path, fault="checkpoint",
-                    iteration=fault.iteration, detail=v.message,
-                ))
-            out.restores += 1
-            lost = max(0, fault.iterations_completed
-                       - (ckpt.iteration if ckpt else 0))
-            out.replayed_iterations += lost
-            state["done"] = ckpt.iteration if ckpt else 0
-            state["values"] = ckpt.values if ckpt else None
-            state["frontier"] = ckpt.frontier if ckpt else None
+            self._restore(fault, out, store, engine_key, exec_path, record,
+                          state)
             action = {
                 "transfer": "retry",
                 "bitflip-representation": "rebuild",
@@ -467,6 +418,31 @@ class ResilientRunner:
         return True
 
     # ------------------------------------------------------------------
+    def _restore(
+        self, fault, out, store, engine_key, exec_path, record, state
+    ) -> None:
+        """Roll ``state`` back to the newest digest-valid checkpoint.
+
+        Each corrupt snapshot skipped on the way is an R305 detection; the
+        iterations the fault threw away count as replayed.
+        """
+        ckpt, bad = store.restore()
+        out.violations.extend(bad)
+        for v in bad:
+            record(RecoveryEvent(
+                action="detect", code="R305", engine=engine_key,
+                exec_path=exec_path, fault="checkpoint",
+                iteration=fault.iteration, detail=v.message,
+            ))
+        out.restores += 1
+        state["done"] = ckpt.iteration if ckpt else 0
+        state["values"] = ckpt.values if ckpt else None
+        state["frontier"] = ckpt.frontier if ckpt else None
+        out.replayed_iterations += max(
+            0, fault.iterations_completed - state["done"]
+        )
+
+    # ------------------------------------------------------------------
     def _repartition(
         self, fault, out, store, engine_key, exec_path, record, state
     ) -> bool:
@@ -487,21 +463,7 @@ class ResilientRunner:
         else:
             state["placement"] = None
         state["devices"] = survivors
-        ckpt, bad = store.restore()
-        out.violations.extend(bad)
-        for v in bad:
-            record(RecoveryEvent(
-                action="detect", code="R305", engine=engine_key,
-                exec_path=exec_path, fault="checkpoint",
-                iteration=fault.iteration, detail=v.message,
-            ))
-        out.restores += 1
-        lost = max(0, fault.iterations_completed
-                   - (ckpt.iteration if ckpt else 0))
-        out.replayed_iterations += lost
-        state["done"] = ckpt.iteration if ckpt else 0
-        state["values"] = ckpt.values if ckpt else None
-        state["frontier"] = ckpt.frontier if ckpt else None
+        self._restore(fault, out, store, engine_key, exec_path, record, state)
         out.repartitions += 1
         reassigned = len(live.units_on(dead))
         out.violations.append(Violation(

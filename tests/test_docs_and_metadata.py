@@ -61,6 +61,16 @@ class TestDocuments:
         registry = {(code, kind) for code, (kind, _msg) in CODES.items()}
         assert set(rows) == registry
 
+    def test_api_engine_options_match_registry(self):
+        from repro.frameworks.registry import OPTION_NAMES
+
+        text = (ROOT / "docs" / "api.md").read_text()
+        listed = re.search(r"^The engine-option vocabulary is (.+?)\.$",
+                           text, re.MULTILINE | re.DOTALL)
+        names = re.findall(r"`(\w+)`", listed.group(1))
+        assert sorted(names) == sorted(set(names)), "duplicate names"
+        assert set(names) == OPTION_NAMES
+
     def test_analysis_doc_is_cross_linked(self):
         assert "analysis.md" in (ROOT / "README.md").read_text()
         assert "analysis.md" in (ROOT / "docs" / "telemetry.md").read_text()

@@ -118,6 +118,9 @@ class TestTableHygiene:
     # One minimal kwargs example per table row, in table order; keeping
     # this list aligned with _INVALID_COMBOS proves no rule is dead.
     EXAMPLES = [
+        {"max_iterations": 2.5},
+        {"start_iteration": 1.5, "resume_values": VALUES},
+        {"devices": 2.0},
         {"exec_path": "bogus"},
         {"frontier": "bogus"},
         {"validate": "bogus"},
