@@ -11,7 +11,10 @@ resilience contract end to end:
   ended unrecovered;
 - the final VertexValues are **bit-identical** to a fault-free golden run
   of the same engine (degraded runs too: the deterministic programs agree
-  bit-for-bit across every engine, which is what makes the ladder safe).
+  bit-for-bit across every engine, which is what makes the ladder safe);
+- a run that did not degrade also matches the golden run's
+  ``iterations``, ``stats`` and ``stage_stats`` (``accounting_match``):
+  a supervised run stitches back to the uninterrupted one.
 
 Everything is derived from the campaign seed — the graph, the fault sites,
 the backoff schedule — so a failing campaign replays exactly.
@@ -88,6 +91,7 @@ class ChaosRun:
     completed: bool
     converged: bool
     golden_match: bool
+    accounting_match: bool
     iterations: int
     retries: int
     restores: int
@@ -100,7 +104,8 @@ class ChaosRun:
 
     @property
     def ok(self) -> bool:
-        """The resilience contract for this cell."""
+        """The resilience contract for this cell: a run that stayed on its
+        engine must also stitch back to the golden run's accounting."""
         return (
             self.fired > 0
             and self.plan_consumed
@@ -108,6 +113,40 @@ class ChaosRun:
             and self.completed
             and self.converged
             and self.golden_match
+            and (self.degraded or self.accounting_match)
+        )
+
+    @classmethod
+    def of(cls, engine: str, fault: str, seed: int, plan: FaultPlan,
+           outcome, golden) -> "ChaosRun":
+        """One cell's verdict: ``outcome`` of a supervised run under
+        ``plan``, checked against the fault-free ``golden`` run."""
+        result = outcome.result
+        return cls(
+            engine=engine,
+            fault=fault,
+            seed=seed,
+            fired=plan.injected,
+            plan_consumed=not plan.unfired(),
+            recovered=outcome.recovered,
+            degraded=outcome.degraded,
+            completed=outcome.completed,
+            converged=outcome.converged,
+            golden_match=bool(np.array_equal(outcome.values, golden.values)),
+            accounting_match=(
+                result.iterations == golden.iterations
+                and result.stats == golden.stats
+                and result.stage_stats == golden.stage_stats
+            ),
+            iterations=outcome.iterations,
+            retries=outcome.retries,
+            restores=outcome.restores,
+            degradations=outcome.degradations,
+            checkpoints=outcome.checkpoints,
+            backoff_ms=outcome.backoff_total_ms,
+            engine_final=outcome.engine_final,
+            exec_path_final=outcome.exec_path_final,
+            codes=tuple(sorted({v.code for v in outcome.violations})),
         )
 
 
@@ -229,30 +268,8 @@ def run_campaign(
                         devices=2 if fault == "device-loss" else 1,
                     ),
                 )
-                report.runs.append(ChaosRun(
-                    engine=key,
-                    fault=fault,
-                    seed=plan_seed,
-                    fired=plan.injected,
-                    plan_consumed=not plan.unfired(),
-                    recovered=outcome.recovered,
-                    degraded=outcome.degraded,
-                    completed=outcome.completed,
-                    converged=outcome.converged,
-                    golden_match=bool(np.array_equal(
-                        outcome.values, goldens[key].values
-                    )),
-                    iterations=outcome.iterations,
-                    retries=outcome.retries,
-                    restores=outcome.restores,
-                    degradations=outcome.degradations,
-                    checkpoints=outcome.checkpoints,
-                    backoff_ms=outcome.backoff_total_ms,
-                    engine_final=outcome.engine_final,
-                    exec_path_final=outcome.exec_path_final,
-                    codes=tuple(sorted({
-                        v.code for v in outcome.violations
-                    })),
+                report.runs.append(ChaosRun.of(
+                    key, fault, plan_seed, plan, outcome, goldens[key]
                 ))
     return report
 
@@ -322,29 +339,7 @@ def run_multi_device_campaign(
                     devices=devices,
                 ),
             )
-            report.runs.append(ChaosRun(
-                engine=key,
-                fault=f"device-loss@{boundary}",
-                seed=seed,
-                fired=plan.injected,
-                plan_consumed=not plan.unfired(),
-                recovered=outcome.recovered,
-                degraded=outcome.degraded,
-                completed=outcome.completed,
-                converged=outcome.converged,
-                golden_match=bool(np.array_equal(
-                    outcome.values, golden.values
-                )),
-                iterations=outcome.iterations,
-                retries=outcome.retries,
-                restores=outcome.restores,
-                degradations=outcome.degradations,
-                checkpoints=outcome.checkpoints,
-                backoff_ms=outcome.backoff_total_ms,
-                engine_final=outcome.engine_final,
-                exec_path_final=outcome.exec_path_final,
-                codes=tuple(sorted({
-                    v.code for v in outcome.violations
-                })),
+            report.runs.append(ChaosRun.of(
+                key, f"device-loss@{boundary}", seed, plan, outcome, golden
             ))
     return report

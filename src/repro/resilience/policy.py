@@ -19,6 +19,9 @@ degraded run still ends at the golden values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
+
+from repro.errors import ConfigError
 
 __all__ = ["RetryPolicy", "DEFAULT_ENGINE_LADDER", "degradation_steps"]
 
@@ -44,10 +47,13 @@ class RetryPolicy:
     multiplier: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.base_ms < 0 or self.multiplier < 1.0:
-            raise ValueError("base_ms must be >= 0 and multiplier >= 1.0")
+        if not isinstance(self.max_retries, Integral) or self.max_retries < 0:
+            raise ConfigError("max_retries must be an integer >= 0",
+                              knob="max_retries")
+        if self.base_ms < 0:
+            raise ConfigError("base_ms must be >= 0", knob="base_ms")
+        if self.multiplier < 1.0:
+            raise ConfigError("multiplier must be >= 1.0", knob="multiplier")
 
     def backoff_ms(self, attempt: int) -> float:
         return self.base_ms * self.multiplier ** attempt

@@ -3,10 +3,13 @@
 :class:`ResilientRunner` executes an engine in **segments** of
 ``checkpoint_every`` iterations, checkpointing VertexValues at every
 segment boundary.  Each segment is an ordinary warm-started
-``Engine.run`` (``resume_values`` + ``start_iteration`` with the absolute
-``max_iterations`` cap), so iteration numbering — and therefore every
-fault site — is identical to an uninterrupted run, and a fault-free
-supervised run is value-identical to a plain one.
+``Engine.run`` under the caller's own ``RunConfig`` with only the
+supervisor's fields replaced (``resume_values`` + ``start_iteration``
+with the absolute ``max_iterations`` cap, the rung's ``exec_path``, the
+surviving topology), so iteration numbering — and therefore every fault
+site — is identical to an uninterrupted run, and a fault-free supervised
+run stitches back to a plain one: the same values, ``stats``,
+``stage_stats`` and traces.
 
 When a segment raises an :class:`~repro.resilience.faults.InjectedFault`,
 the supervisor maps detection to recovery:
@@ -43,12 +46,17 @@ and counted in ``resilience.*`` metrics.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from repro.analysis.violations import Violation
+from repro.errors import ConfigError
 from repro.frameworks.base import (ConvergenceError, RunConfig, RunResult,
                                    run_config)
 from repro.frameworks.registry import make_engine
@@ -63,23 +71,28 @@ __all__ = ["RecoveryEvent", "ResilientResult", "ResilientRunner"]
 
 _RUN_IDS = itertools.count(1)
 
-#: fault kind -> (detection code, retry-recovery code)
-_FAULT_CODES: dict[str, tuple[str, str]] = {
-    "transfer": ("R301", "F401"),
-    "kernel-abort": ("R302", "F402"),
-    "bitflip-values": ("R303", "F402"),
-    "bitflip-representation": ("R304", "F403"),
-    "sharedmem-oom": ("R306", ""),
-    "device-loss": ("R307", "F408"),
+#: fault kind -> (detection code, retry-recovery code, retry action)
+_FAULT_CODES: dict[str, tuple[str, str, str]] = {
+    "transfer": ("R301", "F401", "retry"),
+    "kernel-abort": ("R302", "F402", "restore"),
+    "bitflip-values": ("R303", "F402", "restore"),
+    "bitflip-representation": ("R304", "F403", "rebuild"),
+    "sharedmem-oom": ("R306", "", ""),
+    "device-loss": ("R307", "F408", "repartition"),
 }
+
+#: RunResult fields a stitched run sums over its segments.
+_ADDITIVE = ("stats", "kernel_time_ms", "h2d_ms", "d2h_ms", "cache_hits",
+             "cache_misses", "edges_processed", "shards_skipped",
+             "exchange_bytes", "exchange_ms")
 
 
 @dataclass(frozen=True)
 class RecoveryEvent:
     """One supervisor transition (detection, retry, restore, degrade...)."""
 
-    action: str  # detect|retry|restore|rebuild|degrade-exec|degrade-engine|
-    #              checkpoint|unrecovered
+    action: str  # detect|retry|restore|rebuild|repartition|collapse|
+    #              degrade-exec|degrade-engine|checkpoint|unrecovered
     code: str  # violation code, "" for checkpoints
     engine: str
     exec_path: str
@@ -126,6 +139,20 @@ class ResilientResult:
         return self.result.completed
 
 
+@dataclass
+class _Cursor:
+    """Where a supervised run stands: its ladder rung, the retry attempt
+    on that rung, and the state the next segment resumes from."""
+
+    rung: int = 0
+    attempt: int = 0
+    done: int = 0
+    values: np.ndarray | None = None
+    frontier: np.ndarray | None = None
+    devices: int = 1
+    placement: object = None
+
+
 class ResilientRunner:
     """Checkpointed, fault-tolerant driver around the ordinary engines.
 
@@ -159,8 +186,9 @@ class ResilientRunner:
         checkpoint_cache=None,
         **engine_opts,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+        if not isinstance(checkpoint_every, Integral) or checkpoint_every < 1:
+            raise ConfigError("checkpoint_every must be an integer >= 1",
+                              knob="checkpoint_every")
         self.engine = engine
         self.checkpoint_every = checkpoint_every
         self.retry = retry if retry is not None else RetryPolicy()
@@ -183,20 +211,17 @@ class ResilientRunner:
         same parameter name :meth:`Engine.run` and ``Service.submit`` use —
         or as keywords named after its fields, but not both
         (``TypeError``).
-        The supervisor owns segmentation, so ``config.exec_path`` /
-        ``resume_values`` / ``start_iteration`` are ignored: the
-        degradation ladder decides the execution path per rung, and
-        checkpoints drive warm starts.  ``config.frontier`` *is* honored:
-        each segment runs frontier-gated, checkpoints capture the
-        frontier mask alongside the values, and restores stitch it back
-        via ``resume_frontier`` so a supervised sparse run stays
-        bit-identical to an uninterrupted one.
+        Each segment runs under ``config`` with only the fields the
+        supervisor owns replaced: ``max_iterations`` (the segment's
+        absolute cap), ``allow_partial``, ``exec_path`` (the ladder
+        rung's), ``resume_values`` / ``start_iteration`` /
+        ``resume_frontier`` (the checkpoint the segment resumes from),
+        and ``devices`` / ``placement`` (the topology left after any
+        repartition), so the caller's values of those are ignored.
+        Every other field — ``frontier``, ``validate``, ``certify``,
+        ``narrow``, ``faults``, ``tracer``... — reaches every segment.
         """
         config = run_config(config, settings, caller="ResilientRunner.run()")
-        faults = config.faults
-        max_iterations = config.max_iterations
-        devices = config.devices
-        placement = config.placement
         tracer = NULL_TRACER if config.tracer is None else config.tracer
         metrics = tracer.metrics
         steps = degradation_steps(self.engine, self.ladder)
@@ -205,15 +230,18 @@ class ResilientRunner:
             run_id=f"{self.engine}:{program.name}:{next(_RUN_IDS)}",
         )
         out = ResilientResult(result=None)  # type: ignore[arg-type]
+        cur = _Cursor(devices=config.devices, placement=config.placement)
         segments: list[RunResult] = []
-        step_idx = 0
-        attempt = 0
-        done = 0
-        values: np.ndarray | None = None
-        fmask: np.ndarray | None = None  # frontier mask riding each segment
-        unrecovered = False
 
-        def record(event: RecoveryEvent) -> None:
+        def record(event: RecoveryEvent, message: str | None = None,
+                   severity: str = "warning") -> None:
+            """Record one transition: its event, telemetry span and
+            metric, plus — given a ``message`` — its violation."""
+            if message is not None:
+                out.violations.append(Violation(
+                    code=event.code, message=message, subject=event.engine,
+                    severity=severity,
+                ))
             out.events.append(event)
             if tracer.enabled:
                 tracer.emit(
@@ -226,80 +254,57 @@ class ResilientRunner:
                 metrics.counter(f"resilience.{event.action}").inc()
 
         while True:
-            engine_key, exec_path = steps[step_idx]
-            seg_cap = min(done + self.checkpoint_every, max_iterations)
-            if seg_cap <= done:
-                break  # hit the absolute cap without converging
+            engine_key, exec_path = steps[cur.rung]
             engine = make_engine(engine_key, **self.engine_opts)
-            seg_config = RunConfig(
-                max_iterations=seg_cap,
-                allow_partial=True,
-                collect_traces=config.collect_traces,
+            seg_config = dataclasses.replace(
+                config,
                 tracer=tracer,
+                max_iterations=min(cur.done + self.checkpoint_every,
+                                   config.max_iterations),
+                allow_partial=True,
                 exec_path=exec_path,
-                faults=faults,
-                resume_values=values,
-                start_iteration=done,
-                frontier=config.frontier,
-                resume_frontier=fmask if values is not None else None,
-                devices=devices,
-                placement=placement,
+                resume_values=cur.values,
+                start_iteration=cur.done,
+                resume_frontier=cur.frontier,
+                devices=cur.devices,
+                placement=cur.placement,
             )
             try:
                 seg = engine.run(graph, program, config=seg_config)
             except InjectedFault as fault:
-                state = {
-                    "step_idx": step_idx,
-                    "attempt": attempt,
-                    "done": done,
-                    "values": values,
-                    "frontier": fmask,
-                    "devices": devices,
-                    "placement": placement,
-                }
-                unrecovered = not self._recover(
-                    fault, out, store, steps, record, state
+                out.recovered = self._recover(
+                    fault, out, store, steps, record, cur
                 )
-                step_idx = state["step_idx"]
-                attempt = state["attempt"]
-                done = state["done"]
-                values = state["values"]
-                fmask = state["frontier"]
-                devices = state["devices"]
-                placement = state["placement"]
-                if unrecovered:
+                if not out.recovered:
                     break
+                # A rollback past a segment discards its accounting too.
+                segments = [s for s in segments if s.iterations <= cur.done]
                 continue
-            attempt = 0
+            cur.attempt = 0
             segments.append(seg)
-            done = seg.iterations
-            values = seg.values
-            fmask = seg.frontier_mask
-            store.save(done, values, frontier=fmask)
+            cur.done = seg.iterations
+            cur.values = seg.values
+            cur.frontier = seg.frontier_mask
+            store.save(cur.done, cur.values, frontier=cur.frontier)
             out.checkpoints += 1
             record(RecoveryEvent(
                 action="checkpoint", code="", engine=engine_key,
-                exec_path=exec_path, fault="", iteration=done,
+                exec_path=exec_path, fault="", iteration=cur.done,
             ))
-            if seg.converged or done >= max_iterations:
+            if seg.converged or cur.done >= config.max_iterations:
                 break
 
-        out.faults_injected = getattr(faults, "injected", 0)
-        out.engine_final, out.exec_path_final = steps[min(
-            step_idx, len(steps) - 1
-        )]
-        out.recovered = not unrecovered
-        out.degraded = step_idx > 0
-        out.result = self._stitch(
-            segments, graph, program, done, values, unrecovered,
-        )
+        out.faults_injected = getattr(config.faults, "injected", 0)
+        out.engine_final, out.exec_path_final = steps[cur.rung]
+        out.degraded = cur.rung > 0
+        out.result = self._stitch(segments, graph, program, out.recovered)
         if tracer.enabled:
             metrics.counter("resilience.faults.injected").inc(
                 out.faults_injected
             )
             metrics.counter("resilience.backoff_ms").inc(out.backoff_total_ms)
             metrics.gauge("resilience.degraded").set(int(out.degraded))
-            if unrecovered:
+            if not out.recovered:
                 metrics.counter("resilience.unrecovered").inc()
         if (
             not out.result.converged
@@ -308,104 +313,70 @@ class ResilientRunner:
         ):
             raise ConvergenceError(
                 f"{self.engine}/{program.name} did not converge in "
-                f"{max_iterations} iterations (resilient run)"
+                f"{config.max_iterations} iterations (resilient run)"
             )
         return out
 
     # ------------------------------------------------------------------
-    def _recover(
-        self, fault, out, store, steps, record, state
-    ) -> bool:
+    def _recover(self, fault, out, store, steps, record, cur) -> bool:
         """Handle one injected fault; returns False when unrecoverable.
 
-        Mutates ``state`` (step_idx/attempt/done/values) in place; the
-        supervisor loop re-reads it after the call.
+        Moves ``cur`` in place: every recovery but the ladder's end rolls
+        it back to the newest digest-valid checkpoint.
         """
-        engine_key, exec_path = steps[state["step_idx"]]
-        detect_code, retry_code = _FAULT_CODES[fault.kind]
-        out.violations.append(Violation(
-            code=detect_code,
-            message=str(fault),
-            subject=engine_key,
-            severity="warning",
-        ))
+        engine_key, exec_path = steps[cur.rung]
+        detect_code, retry_code, action = _FAULT_CODES[fault.kind]
         record(RecoveryEvent(
             action="detect", code=detect_code, engine=engine_key,
             exec_path=exec_path, fault=fault.kind,
             iteration=fault.iteration, detail=str(fault),
-        ))
-        if fault.kind == "bitflip-representation":
-            out.violations.extend(
-                getattr(fault, "violations", ())
-            )
+        ), str(fault))
+        out.violations.extend(getattr(fault, "violations", ()))
         if isinstance(fault, DeviceLostFault):
-            return self._repartition(
-                fault, out, store, engine_key, exec_path, record, state
-            )
-        persistent = isinstance(fault, SharedMemOOMFault)
-        if not persistent and state["attempt"] < self.retry.max_retries:
-            backoff = self.retry.backoff_ms(state["attempt"])
-            state["attempt"] += 1
+            self._repartition(fault, out, store, steps, record, cur)
+            return True
+        if not isinstance(fault, SharedMemOOMFault) and (
+            cur.attempt < self.retry.max_retries
+        ):
+            backoff = self.retry.backoff_ms(cur.attempt)
+            cur.attempt += 1
             out.retries += 1
             out.backoff_total_ms += backoff
-            self._restore(fault, out, store, engine_key, exec_path, record,
-                          state)
-            action = {
-                "transfer": "retry",
-                "bitflip-representation": "rebuild",
-            }.get(fault.kind, "restore")
-            out.violations.append(Violation(
-                code=retry_code,
-                message=(
-                    f"{action} after {fault.kind} on {engine_key} "
-                    f"(attempt {state['attempt']}, backoff {backoff:g} ms, "
-                    f"resuming from iteration {state['done']})"
-                ),
-                subject=engine_key,
-                severity="warning",
-            ))
+            self._restore(fault, out, store, steps, record, cur)
             record(RecoveryEvent(
                 action=action, code=retry_code, engine=engine_key,
                 exec_path=exec_path, fault=fault.kind,
-                iteration=state["done"], backoff_ms=backoff,
+                iteration=cur.done, backoff_ms=backoff,
+            ), (
+                f"{action} after {fault.kind} on {engine_key} "
+                f"(attempt {cur.attempt}, backoff {backoff:g} ms, "
+                f"resuming from iteration {cur.done})"
             ))
             return True
         # Retries exhausted (or the fault is persistent): degrade.
-        state["step_idx"] += 1
-        state["attempt"] = 0
         out.degradations += 1
-        if state["step_idx"] >= len(steps):
-            out.violations.append(Violation(
-                code="F406",
-                message=(
-                    f"degradation ladder exhausted after {fault.kind} "
-                    f"on {engine_key}/{exec_path}; returning state at "
-                    f"iteration {state['done']} with completed=False"
-                ),
-                subject=engine_key,
-                severity="error",
-            ))
+        if cur.rung + 1 >= len(steps):
             record(RecoveryEvent(
                 action="unrecovered", code="F406", engine=engine_key,
-                exec_path=exec_path, fault=fault.kind,
-                iteration=state["done"],
-            ))
+                exec_path=exec_path, fault=fault.kind, iteration=cur.done,
+            ), (
+                f"degradation ladder exhausted after {fault.kind} "
+                f"on {engine_key}/{exec_path}; returning state at "
+                f"iteration {cur.done} with completed=False"
+            ), severity="error")
             return False
-        next_engine, next_path = steps[state["step_idx"]]
+        self._restore(fault, out, store, steps, record, cur)
+        cur.rung += 1
+        cur.attempt = 0
+        next_engine, next_path = steps[cur.rung]
         same_engine = next_engine == engine_key
         code = "F404" if same_engine else "F405"
-        ckpt, bad = store.restore()
-        out.violations.extend(bad)
-        out.restores += 1 if (bad or ckpt) else 0
-        state["done"] = ckpt.iteration if ckpt else 0
-        state["values"] = ckpt.values if ckpt else None
-        state["frontier"] = ckpt.frontier if ckpt else None
         out.violations.append(Violation(
             code=code,
             message=(
                 f"degrading {engine_key}/{exec_path} -> "
                 f"{next_engine}/{next_path} after persistent {fault.kind} "
-                f"(resuming from iteration {state['done']})"
+                f"(resuming from iteration {cur.done})"
             ),
             subject=engine_key,
             severity="warning",
@@ -413,19 +384,18 @@ class ResilientRunner:
         record(RecoveryEvent(
             action="degrade-exec" if same_engine else "degrade-engine",
             code=code, engine=next_engine, exec_path=next_path,
-            fault=fault.kind, iteration=state["done"],
+            fault=fault.kind, iteration=cur.done,
         ))
         return True
 
     # ------------------------------------------------------------------
-    def _restore(
-        self, fault, out, store, engine_key, exec_path, record, state
-    ) -> None:
-        """Roll ``state`` back to the newest digest-valid checkpoint.
+    def _restore(self, fault, out, store, steps, record, cur) -> None:
+        """Roll ``cur`` back to the newest digest-valid checkpoint.
 
         Each corrupt snapshot skipped on the way is an R305 detection; the
         iterations the fault threw away count as replayed.
         """
+        engine_key, exec_path = steps[cur.rung]
         ckpt, bad = store.restore()
         out.violations.extend(bad)
         for v in bad:
@@ -435,17 +405,18 @@ class ResilientRunner:
                 iteration=fault.iteration, detail=v.message,
             ))
         out.restores += 1
-        state["done"] = ckpt.iteration if ckpt else 0
-        state["values"] = ckpt.values if ckpt else None
-        state["frontier"] = ckpt.frontier if ckpt else None
+        if ckpt is None:
+            cur.done, cur.values, cur.frontier = 0, None, None
+        else:
+            cur.done, cur.values, cur.frontier = (
+                ckpt.iteration, ckpt.values, ckpt.frontier
+            )
         out.replayed_iterations += max(
-            0, fault.iterations_completed - state["done"]
+            0, fault.iterations_completed - cur.done
         )
 
     # ------------------------------------------------------------------
-    def _repartition(
-        self, fault, out, store, engine_key, exec_path, record, state
-    ) -> bool:
+    def _repartition(self, fault, out, store, steps, record, cur) -> None:
         """Device-loss recovery: reassign the dead device's shards.
 
         Structural, so it never consumes retry attempts: the dead
@@ -455,68 +426,50 @@ class ResilientRunner:
         numbering.  When only one device survives, placement collapses
         to a plain single-device run (F409).
         """
-        survivors = state["devices"] - 1
+        engine_key, exec_path = steps[cur.rung]
         live = fault.placement
         dead = fault.device % live.num_devices
-        if survivors >= 2:
-            state["placement"] = live.without_device(dead)
-        else:
-            state["placement"] = None
-        state["devices"] = survivors
-        self._restore(fault, out, store, engine_key, exec_path, record, state)
+        cur.devices -= 1
+        cur.placement = (live.without_device(dead) if cur.devices >= 2
+                         else None)
+        self._restore(fault, out, store, steps, record, cur)
         out.repartitions += 1
         reassigned = len(live.units_on(dead))
-        out.violations.append(Violation(
-            code="F408",
-            message=(
-                f"repartitioned after device-loss on {engine_key}: "
-                f"device {dead} dropped, {reassigned} unit(s) reassigned "
-                f"across {survivors} survivor(s), resuming from "
-                f"iteration {state['done']}"
-            ),
-            subject=engine_key,
-            severity="warning",
-        ))
         record(RecoveryEvent(
             action="repartition", code="F408", engine=engine_key,
-            exec_path=exec_path, fault="device-loss",
-            iteration=state["done"],
+            exec_path=exec_path, fault="device-loss", iteration=cur.done,
             detail=(
                 f"device {dead} lost; {reassigned} unit(s) -> "
-                f"{survivors} survivor(s)"
+                f"{cur.devices} survivor(s)"
             ),
+        ), (
+            f"repartitioned after device-loss on {engine_key}: "
+            f"device {dead} dropped, {reassigned} unit(s) reassigned "
+            f"across {cur.devices} survivor(s), resuming from "
+            f"iteration {cur.done}"
         ))
-        if survivors == 1:
-            out.violations.append(Violation(
-                code="F409",
-                message=(
-                    f"multi-device run collapsed to a single device on "
-                    f"{engine_key}; continuing without an exchange step"
-                ),
-                subject=engine_key,
-                severity="warning",
-            ))
+        if cur.devices == 1:
             record(RecoveryEvent(
                 action="collapse", code="F409", engine=engine_key,
                 exec_path=exec_path, fault="device-loss",
-                iteration=state["done"],
+                iteration=cur.done,
+            ), (
+                f"multi-device run collapsed to a single device on "
+                f"{engine_key}; continuing without an exchange step"
             ))
-        return True
 
     # ------------------------------------------------------------------
-    def _stitch(
-        self, segments, graph, program, done, values, unrecovered
-    ) -> RunResult:
-        """Merge per-segment results into one absolute-numbered RunResult."""
+    def _stitch(self, segments, graph, program, completed) -> RunResult:
+        """Merge per-segment results into the one absolute-numbered
+        RunResult an uninterrupted run would have produced."""
         if not segments:
-            # Nothing ever completed: report the initial (or last restored)
-            # state as an explicit partial result.
+            # Nothing ever completed: report the initial state as an
+            # explicit partial result.
             return RunResult(
                 engine=self.engine,
                 program=program.name,
-                values=(values if values is not None
-                        else program.initial_values(graph)),
-                iterations=done,
+                values=program.initial_values(graph),
+                iterations=0,
                 converged=False,
                 kernel_time_ms=0.0,
                 h2d_ms=0.0,
@@ -524,53 +477,29 @@ class ResilientRunner:
                 representation_bytes=0,
                 stats=KernelStats(),
                 num_edges=graph.num_edges,
-                exec_path="",
                 completed=False,
             )
-        last = segments[-1]
-        stats = KernelStats()
-        traces = []
-        kernel_ms = h2d_ms = d2h_ms = 0.0
-        cache_hits = cache_misses = 0
-        edges_processed = shards_skipped = 0
-        exchange_bytes = 0
-        exchange_ms = 0.0
-        devices = 1
+        traces, stages, offset_ms = [], {}, 0.0
         for seg in segments:
-            stats += seg.stats
-            traces.extend(seg.traces)
-            kernel_ms += seg.kernel_time_ms
-            h2d_ms += seg.h2d_ms
-            d2h_ms += seg.d2h_ms
-            cache_hits += seg.cache_hits
-            cache_misses += seg.cache_misses
-            edges_processed += seg.edges_processed
-            shards_skipped += seg.shards_skipped
-            exchange_bytes += seg.exchange_bytes
-            exchange_ms += seg.exchange_ms
-            devices = max(devices, seg.devices)
-        return RunResult(
-            engine=last.engine,
-            program=last.program,
-            values=last.values,
-            iterations=last.iterations,
-            converged=last.converged,
-            kernel_time_ms=kernel_ms,
-            h2d_ms=h2d_ms,
-            d2h_ms=d2h_ms,
-            representation_bytes=last.representation_bytes,
-            stats=stats,
+            traces.extend(
+                dataclasses.replace(
+                    t, cumulative_time_ms=t.cumulative_time_ms + offset_ms
+                )
+                for t in seg.traces
+            )
+            offset_ms += seg.kernel_time_ms
+            for name, st in (seg.stage_stats or {}).items():
+                stages[name] = stages[name] + st if name in stages else st
+        return dataclasses.replace(
+            segments[-1],
             traces=traces,
-            num_edges=last.num_edges,
-            stage_stats=last.stage_stats,
-            exec_path=last.exec_path,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            completed=not unrecovered,
-            edges_processed=edges_processed,
-            shards_skipped=shards_skipped,
-            frontier_mask=last.frontier_mask,
-            devices=devices,
-            exchange_bytes=exchange_bytes,
-            exchange_ms=exchange_ms,
+            stage_stats=stages or segments[-1].stage_stats,
+            completed=completed,
+            devices=max(s.devices for s in segments),
+            **{
+                name: functools.reduce(
+                    operator.add, (getattr(s, name) for s in segments)
+                )
+                for name in _ADDITIVE
+            },
         )

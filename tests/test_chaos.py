@@ -91,3 +91,18 @@ class TestRunCampaign:
         for field in ("engine", "fault", "seed", "fired", "golden_match",
                       "codes", "engine_final"):
             assert field in sample
+
+    def test_runs_that_stay_on_their_engine_match_golden_accounting(
+        self, smoke_report
+    ):
+        staying = [r for r in smoke_report.runs if not r.degraded]
+        assert len(staying) == 20
+        for run in staying:
+            assert run.accounting_match, (run.engine, run.fault)
+        doc = smoke_report.to_dict()
+        assert all("accounting_match" in r for r in doc["runs"])
+
+    def test_multi_campaign_matches_golden_accounting(self):
+        report = run_campaign("multi", seed=0, engines=("cusha-cw",))
+        assert report.runs and report.passed
+        assert all(r.accounting_match for r in report.runs)

@@ -2,10 +2,16 @@
 bit-exactness, retry/backoff math, the degradation ladder, and the
 supervisor's recovery behavior for every fault class."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from repro.algorithms import make_program
+from repro.analysis import ValidationError
+from repro.analysis.fixtures import BROKEN_PROGRAMS
+from repro.cache import RepresentationCache
 from repro.frameworks import RunConfig, make_engine
 from repro.graph.generators import random_weights, rmat
 from repro.resilience import (DEFAULT_ENGINE_LADDER, FAULT_CLASSES,
@@ -311,6 +317,20 @@ class TestPolicy:
 # Supervisor
 # ----------------------------------------------------------------------
 
+class _CorruptSnapshotAt(RepresentationCache):
+    """A checkpoint cache whose snapshot of one iteration fails its
+    digest."""
+
+    def __init__(self, iteration):
+        super().__init__(max_entries=16)
+        self.iteration = iteration
+
+    def put(self, key, value):
+        if key[-1] == self.iteration:
+            value = dataclasses.replace(value, digest="0" * 32)
+        return super().put(key, value)
+
+
 class TestResilientRunner:
     def _golden(self, key="cusha-cw"):
         g = _graph()
@@ -394,6 +414,75 @@ class TestResilientRunner:
         assert out.replayed_iterations == 1  # iterations 4 (ckpt 3 -> 5)
         assert out.values.tobytes() == golden.values.tobytes()
 
+    def test_degrade_rollbacks_count_as_replayed(self):
+        # A kernel abort pinned to cusha-cw at iteration 7 throws away
+        # iterations 5-6 on every rung of that engine: 3 retries + 1
+        # degrade on each of its two exec paths, then cusha-gs finishes.
+        g = rmat(256, 2048, seed=0)
+        program = make_program("pr", g)
+        plan = FaultPlan([FaultSpec(kind="kernel-abort", engine="cusha-cw",
+                                    count=None, iteration=7)], seed=0)
+        out = ResilientRunner("cusha-cw", checkpoint_every=4).run(
+            g, program, faults=plan, max_iterations=100, allow_partial=True)
+        assert out.completed and out.engine_final == "cusha-gs"
+        assert (out.retries, out.degradations) == (6, 2)
+        assert out.restores == out.retries + out.degradations
+        assert out.replayed_iterations == 2 * (out.retries
+                                               + out.degradations)
+
+    def test_rollback_past_a_corrupt_snapshot_drops_its_segments(self):
+        # The snapshot at iteration 6 is corrupt, so the abort at 8 rolls
+        # back to 3 (R305); the stitched accounting must not count
+        # iterations 4-6 twice.
+        g, program, golden = self._golden()
+        plan = FaultPlan([FaultSpec(kind="kernel-abort", iteration=8)],
+                         seed=0)
+        out = ResilientRunner("cusha-cw", checkpoint_every=3,
+                              checkpoint_cache=_CorruptSnapshotAt(6)).run(
+            g, program, faults=plan, max_iterations=100, allow_partial=True)
+        assert [e.code for e in out.events if e.action == "detect"] == [
+            "R302", "R305"]
+        assert out.replayed_iterations == 7 - 3
+        assert out.values.tobytes() == golden.values.tobytes()
+        assert out.result.stats == golden.stats
+        assert [t.iteration for t in out.result.traces] == [
+            t.iteration for t in golden.traces]
+
+    def test_degrade_records_corrupt_snapshots(self):
+        # With no retries the fast-path abort degrades at once; its
+        # rollback skips the corrupt snapshot like a retry's would.
+        g, program, golden = self._golden()
+        plan = FaultPlan([FaultSpec(kind="kernel-abort", exec_path="fast",
+                                    count=None, iteration=8)], seed=0)
+        out = ResilientRunner("cusha-cw", checkpoint_every=3,
+                              retry=RetryPolicy(max_retries=0),
+                              checkpoint_cache=_CorruptSnapshotAt(6)).run(
+            g, program, faults=plan, max_iterations=100, allow_partial=True)
+        assert out.exec_path_final == "reference" and out.completed
+        assert [(e.action, e.code) for e in out.events
+                if e.action in ("detect", "degrade-exec")] == [
+            ("detect", "R302"), ("detect", "R305"), ("degrade-exec", "F404")]
+        assert (out.restores, out.replayed_iterations) == (1, 7 - 3)
+        assert out.values.tobytes() == golden.values.tobytes()
+        assert out.result.stats == golden.stats
+
+    def test_narrow_reaches_every_segment(self):
+        g = rmat(256, 2048, seed=0)
+        program = make_program("bfs", g)
+        config = RunConfig(narrow="auto", max_iterations=100)
+        plain = make_engine("cusha-cw").run(g, program, config=config)
+        out = ResilientRunner("cusha-cw", checkpoint_every=2).run(
+            g, program, config=config)
+        assert out.checkpoints > 1
+        assert out.values.tobytes() == plain.values.tobytes()
+        assert out.result.stats == plain.stats
+
+    def test_validate_reaches_the_segments(self):
+        g = rmat(256, 2048, seed=0)
+        program = BROKEN_PROGRAMS["undeclared-write"].factory()
+        with pytest.raises(ValidationError):
+            ResilientRunner("cusha-cw").run(g, program, validate="structure")
+
     def test_telemetry_spans_and_metrics(self):
         g, program, _ = self._golden()
         t = Tracer()
@@ -420,6 +509,40 @@ class TestResilientRunner:
         assert explicit.values.tobytes() == golden.values.tobytes()
         assert explicit.stats == golden.stats
         assert not NULL_FAULTS.active
+
+
+@pytest.mark.parametrize("program_name", ["pr", "bfs", "sssp"])
+@pytest.mark.parametrize("key,frontier", [
+    *((k, "off") for k in ("cusha-cw", "cusha-gs", "cusha-streamed",
+                           "vwc-8", "mtcpu-4")),
+    *((k, "sparse") for k in ("cusha-cw", "cusha-gs", "cusha-streamed",
+                              "vwc-8")),
+])
+def test_supervised_run_equals_uninterrupted(key, frontier, program_name):
+    """A fault-free supervised run stitches back to the plain run: values,
+    accounting and traces, with cumulative times equal up to the order
+    their float sums were taken in."""
+    g = _graph()
+    program = make_program(program_name, g)
+    config = RunConfig(max_iterations=100, allow_partial=True,
+                       frontier=frontier)
+    plain = make_engine(key).run(g, program, config=config)
+    out = ResilientRunner(key, checkpoint_every=3).run(
+        g, program, config=config).result
+    assert out.values.tobytes() == plain.values.tobytes()
+    assert out.iterations == plain.iterations
+    assert out.stats == plain.stats
+    assert out.stage_stats == plain.stage_stats
+    assert out.edges_processed == plain.edges_processed
+    assert out.shards_skipped == plain.shards_skipped
+
+    def exact(t):
+        return t.iteration, t.updated_vertices, t.time_ms, t.active_shards
+
+    assert [exact(t) for t in out.traces] == [exact(t) for t in plain.traces]
+    for got, want in zip(out.traces, plain.traces):
+        assert math.isclose(got.cumulative_time_ms, want.cumulative_time_ms,
+                            rel_tol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -169,6 +169,22 @@ class TestQuotas:
         assert handle.shed
         assert np.array_equal(result.values, golden(graph, "sssp", 0).values)
 
+    def test_shed_job_keeps_its_config(self, graph):
+        # The shed rerun on cusha-gs still narrows: its stats are a direct
+        # narrowed cusha-gs run's, not the un-narrowed ones.
+        narrow = RunConfig(narrow="auto")
+        with Service(workers=1,
+                     default_quota=TenantQuota(cost_budget=0.0)) as svc:
+            handle = svc.submit(JobRequest(graph, "bfs", source=0,
+                                           config=narrow))
+            result = handle.result(timeout=60)
+        assert handle.shed
+        direct = golden(graph, "bfs", 0, engine="cusha-gs", config=narrow)
+        assert result.stats == direct.stats
+        assert result.stats != golden(graph, "bfs", 0,
+                                      engine="cusha-gs").stats
+        assert np.array_equal(result.values, direct.values)
+
     def test_shed_jobs_do_not_coalesce(self, graph):
         quotas = {"metered": TenantQuota(cost_budget=1.0)}
         with Service(workers=1, quotas=quotas,

@@ -25,7 +25,7 @@ from repro.gpu.spec import GTX780, I7_3930K
 from repro.graph import GShards, generators
 from repro.harness.runner import GridRunner
 from repro.placement import Placement
-from repro.resilience import FaultPlan, ResilientRunner
+from repro.resilience import FaultPlan, ResilientRunner, RetryPolicy
 from repro.service import JobRequest, Service, TenantQuota
 from repro.telemetry import Tracer
 
@@ -177,6 +177,11 @@ class TestTypedParameterErrors:
         (lambda: CuShaEngine("cw", sync_mode="xx"), "sync_mode"),
         (lambda: StreamedCuShaEngine(device_memory_bytes=0),
          "device_memory_bytes"),
+        (lambda: ResilientRunner(checkpoint_every=0), "checkpoint_every"),
+        (lambda: ResilientRunner(checkpoint_every=2.5), "checkpoint_every"),
+        (lambda: RetryPolicy(max_retries=-1), "max_retries"),
+        (lambda: RetryPolicy(base_ms=-1.0), "base_ms"),
+        (lambda: RetryPolicy(multiplier=0.5), "multiplier"),
     ])
     def test_engine_constructors(self, build, knob):
         with pytest.raises(ConfigError) as exc:
