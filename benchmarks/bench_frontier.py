@@ -83,7 +83,7 @@ def run_bench(repeats: int = 3, echo=print) -> dict:
 
     def config(mode: str, cap: int = MAX_ITERATIONS) -> RunConfig:
         return RunConfig(max_iterations=cap, allow_partial=True,
-                         collect_traces=True, frontier=mode)
+                         frontier=mode)
 
     # Canonical runs (and cache warm-up): the deterministic metrics.
     full = engine().run(graph, program, config=config("off"))

@@ -65,8 +65,7 @@ def run_bench(repeats: int = 1, echo=print) -> dict:
 
     def run(mode: str):
         engine = make_engine(ENGINE, cache=cache)
-        config = RunConfig(max_iterations=MAX_ITERATIONS,
-                           collect_traces=False, narrow=mode)
+        config = RunConfig(max_iterations=MAX_ITERATIONS, narrow=mode)
         return engine.run(graph, program, config=config)
 
     off = run("off")

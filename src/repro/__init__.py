@@ -76,6 +76,10 @@ from repro.vertexcentric import VertexProgram
 
 __version__ = "1.10.0"
 
+#: Former RunConfig fields, routed to RunConfig so they fail as TypeErrors.
+_RETIRED = ["collect_traces", "resume_frontier", "resume_values",
+            "start_iteration"]
+
 
 def run(
     graph: DiGraph,
@@ -108,8 +112,9 @@ def run(
     >>> result = repro.run(g, "bfs", config=RunConfig(max_iterations=50,
     ...                                               allow_partial=True))
     """
-    settings = {f.name: options.pop(f.name)
-                for f in dataclasses.fields(RunConfig) if f.name in options}
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    settings = {name: options.pop(name) for name in names + _RETIRED
+                if name in options}
     config = _run_config(config, settings, caller="repro.run()")
     prog_kwargs = {} if source is None else {"source": source}
     program = make_program(program_name, graph, **prog_kwargs)

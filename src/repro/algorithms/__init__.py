@@ -28,7 +28,7 @@ import operator
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProgramKeyError
 from repro.graph.digraph import DiGraph
 from repro.vertexcentric.program import VertexProgram
 
@@ -130,4 +130,6 @@ def make_program(name: str, graph: DiGraph, **kwargs) -> VertexProgram:
         for vertex, _ in kwargs["sources"]:
             _check_vertex(graph, "sources", vertex)
         return CircuitSimulation(**kwargs)
-    raise KeyError(f"unknown program {name!r}; known: {', '.join(PROGRAM_NAMES)}")
+    raise ProgramKeyError(
+        f"unknown program {name!r}; known: {', '.join(PROGRAM_NAMES)}"
+    )

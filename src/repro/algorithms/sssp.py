@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.digraph import DiGraph
-from repro.vertexcentric.datatypes import UINT_INF, vertex_dtype as struct_dtype
+from repro.vertexcentric.datatypes import (UINT_INF, uint32_weights,
+                                          vertex_dtype as struct_dtype)
 from repro.vertexcentric.program import VertexProgram
 
 __all__ = ["SSSP"]
@@ -38,7 +39,7 @@ class SSSP(VertexProgram):
         if graph.weights is None:
             out["weight"] = 1
         else:
-            out["weight"] = graph.weights.astype(np.uint32)
+            out["weight"] = uint32_weights(graph.weights, self.name)
         return out
 
     # -- scalar device functions -----------------------------------------

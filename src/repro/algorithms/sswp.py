@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.digraph import DiGraph
-from repro.vertexcentric.datatypes import UINT_INF, vertex_dtype as struct_dtype
+from repro.vertexcentric.datatypes import (UINT_INF, uint32_weights,
+                                          vertex_dtype as struct_dtype)
 from repro.vertexcentric.program import VertexProgram
 
 __all__ = ["SSWP"]
@@ -39,7 +40,7 @@ class SSWP(VertexProgram):
         if graph.weights is None:
             out["width"] = 1
         else:
-            out["width"] = graph.weights.astype(np.uint32)
+            out["width"] = uint32_weights(graph.weights, self.name)
         return out
 
     # -- scalar device functions -----------------------------------------

@@ -1866,7 +1866,7 @@ def runtime_gate(engine, program, config):
                     severity="warning",
                 )
             )
-            degraded = dc_replace(config, frontier="off", resume_frontier=None)
+            degraded = dc_replace(config, frontier="off")
         from repro.analysis.preflight import publish_violations
 
         publish_violations(metrics, violations)

@@ -558,7 +558,7 @@ def _resilient_codes(fault_kind: str, **kwargs) -> list:
     runner = ResilientRunner("cusha-cw", checkpoint_every=2, **kwargs)
     outcome = runner.run(
         fixture_graph(), _resilience_program(), faults=plan,
-        max_iterations=50, allow_partial=True, collect_traces=False,
+        max_iterations=50, allow_partial=True,
     )
     return outcome.violations
 
@@ -820,9 +820,7 @@ def _certify_degraded() -> list:
 
     tracer = Tracer()
     engine = make_engine("cusha-cw", cache=False)
-    config = RunConfig(
-        frontier="sparse", certify="warn", collect_traces=False
-    ).with_tracer(tracer)
+    config = RunConfig(frontier="sparse", certify="warn").with_tracer(tracer)
     degraded = runtime_gate(engine, SlipperyQuiescenceProgram(), config)
     fired = tracer.metrics.counter(
         "analysis.violations.certify-degraded"

@@ -634,7 +634,6 @@ def drift_gate(
     result = runner.run(graph, program, config=RunConfig(
         max_iterations=max_iterations,
         allow_partial=True,
-        collect_traces=False,
         tracer=tracer,
         exec_path="fast",
         narrow=narrow,

@@ -17,7 +17,8 @@ semantics of e.g. ``dict``-style lookup failures — are unchanged::
     ReproError (Exception)
     ├── ConvergenceError        (also RuntimeError)   engine hit max_iterations
     ├── EngineKeyError          (also KeyError)       unknown make_engine key
-    ├── GraphFormatError        (also ValueError)     unreadable graph file
+    ├── ProgramKeyError         (also KeyError)       unknown make_program name
+    ├── GraphFormatError        (also ValueError)     malformed graph or weights
     ├── ValidationError         (also RuntimeError)   analysis preflight errors
     ├── ConfigError             (also ValueError)     invalid knobs or seeds
     ├── CertificationError      (also RuntimeError)   kernel certificate refused
@@ -50,6 +51,7 @@ __all__ = [
     "ReproError",
     "ConvergenceError",
     "EngineKeyError",
+    "ProgramKeyError",
     "GraphFormatError",
     "ValidationError",
     "ConfigError",
@@ -85,19 +87,26 @@ class EngineKeyError(ReproError, KeyError):
         return self.args[0] if self.args else ""
 
 
+class ProgramKeyError(ReproError, KeyError):
+    """Raised for program names ``make_program`` does not know."""
+
+    __str__ = EngineKeyError.__str__
+
+
 class GraphFormatError(ReproError, ValueError):
-    """Raised when a graph file cannot be parsed.
+    """Raised when a graph file cannot be parsed, or a graph's arrays or
+    weights are malformed.
 
     Carries ``path`` and the 1-based ``line`` the problem was found on
     (``line`` is ``None`` for file-level problems such as a missing NPZ
-    member).
+    member; both are ``None`` for in-memory graphs).
     """
 
     def __init__(
-        self, message: str, *, path: str = "<stream>", line: int | None = None
+        self, message: str, *, path: str | None = None, line: int | None = None
     ) -> None:
         where = path if line is None else f"{path}:{line}"
-        super().__init__(f"{where}: {message}")
+        super().__init__(message if path is None else f"{where}: {message}")
         self.path = path
         self.line = line
 
@@ -116,9 +125,10 @@ class ValidationError(ReproError, RuntimeError):
 class ConfigError(ReproError, ValueError):
     """Raised by :class:`repro.frameworks.RunConfig` at construction when a
     knob value is out of range or two knobs are statically incompatible
-    (e.g. ``resume_frontier`` without ``frontier``, ``certify="enforce"``
-    with ``validate="off"``), and by :func:`repro.algorithms.make_program`
-    for a seeded vertex outside the graph.
+    (e.g. a ``resume`` checkpoint at or past ``max_iterations``,
+    ``certify="enforce"`` with ``validate="off"``), and by
+    :func:`repro.algorithms.make_program` for a seeded vertex outside the
+    graph.
 
     ``knob`` names the offending field (or the first field of an invalid
     pair, or the program argument) so callers can point at the right

@@ -31,8 +31,8 @@ Engines are usually instantiated through the registry factory::
 """
 
 from repro.errors import ConvergenceError
-from repro.frameworks.base import (Engine, IterationTrace, RunConfig,
-                                   RunResult)
+from repro.frameworks.base import (Checkpoint, Engine, IterationTrace,
+                                   RunConfig, RunResult)
 from repro.frameworks.cusha import CuShaEngine
 from repro.frameworks.vwc import VWCEngine
 from repro.frameworks.mtcpu import MTCPUEngine
@@ -42,6 +42,7 @@ from repro.frameworks.registry import (EngineKeyError, engine_keys,
                                        make_engine, register_engine)
 
 __all__ = [
+    "Checkpoint",
     "Engine",
     "IterationTrace",
     "RunConfig",

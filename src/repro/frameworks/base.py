@@ -10,14 +10,15 @@ quantities (times, efficiencies, TEPS).
 
 The driver contract is ``engine.run(graph, program, config=RunConfig(...))``.
 The PR-1 deprecation shim that accepted loose keyword arguments
-(``max_iterations=``, ``allow_partial=``, ``collect_traces=``) is retired:
-passing them now raises a :class:`TypeError` pointing at
-:class:`RunConfig`.  Engines themselves implement :meth:`Engine._run` and
-only ever see the config object.
+(``max_iterations=``, ``allow_partial=``, ...) is retired: passing them
+now raises a :class:`TypeError` pointing at :class:`RunConfig`.  Engines
+themselves implement :meth:`Engine._run` and only ever see the config
+object.
 """
 
 from __future__ import annotations
 
+import hashlib
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
@@ -35,6 +36,8 @@ __all__ = [
     "IterationTrace",
     "FaultHooks",
     "NULL_FAULTS",
+    "Checkpoint",
+    "values_digest",
     "RunConfig",
     "run_config",
     "RunResult",
@@ -127,9 +130,6 @@ _INVALID_COMBOS: tuple[tuple[str, Callable, str], ...] = (
     ("max_iterations",
      lambda c: _not_integer(c.max_iterations),
      "max_iterations must be an integer"),
-    ("start_iteration",
-     lambda c: _not_integer(c.start_iteration),
-     "start_iteration must be an integer"),
     ("devices",
      lambda c: _not_integer(c.devices),
      "devices must be an integer"),
@@ -148,24 +148,11 @@ _INVALID_COMBOS: tuple[tuple[str, Callable, str], ...] = (
     ("max_iterations",
      lambda c: c.max_iterations < 1,
      "max_iterations must be >= 1"),
-    ("start_iteration",
-     lambda c: c.start_iteration < 0,
-     "start_iteration must be >= 0"),
-    ("start_iteration",
-     lambda c: c.start_iteration >= c.max_iterations,
-     "start_iteration must be below max_iterations"),
-    ("resume_frontier",
-     lambda c: c.resume_frontier is not None and c.resume_values is None,
-     "resume_frontier requires resume_values (the frontier mask only "
-     "makes sense relative to a checkpointed state)"),
-    ("resume_frontier",
-     lambda c: c.resume_frontier is not None and c.frontier == "off",
-     "resume_frontier requires a frontier mode ('sparse' or 'auto'); a "
-     "full-sweep run has no dirty bitmap to rebuild"),
-    ("start_iteration",
-     lambda c: c.resume_values is None and bool(c.start_iteration),
-     "start_iteration requires resume_values (the checkpointed "
-     "VertexValues to warm-start from)"),
+    ("resume",
+     lambda c: c.resume is not None and (
+         _not_integer(getattr(c.resume, "iteration", None))
+         or not 0 <= c.resume.iteration < c.max_iterations),
+     "resume.iteration must be an integer in [0, max_iterations)"),
     ("certify",
      lambda c: c.certify == "enforce" and c.validate == "off",
      "certify='enforce' requires validate != 'off' (the certificate "
@@ -202,6 +189,50 @@ class IterationTrace:
     unchanged."""
 
 
+def values_digest(
+    values: np.ndarray, iteration: int,
+    frontier: np.ndarray | None = None,
+) -> str:
+    """blake2b over the snapshot's bytes, iteration, value layout, and
+    (when present) the frontier mask — a flipped frontier bit would
+    silently skip live shards on resume, so it is integrity-checked too.
+    """
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.int64(iteration).tobytes())
+    h.update(str(values.dtype).encode())
+    h.update(np.ascontiguousarray(values).tobytes())
+    if frontier is not None:
+        h.update(b"frontier")
+        h.update(np.ascontiguousarray(frontier).tobytes())
+    return h.hexdigest()
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """The whole algorithm state at an iteration boundary: VertexValues
+    after ``iteration`` sweeps, plus the last sweep's updated-vertex mask
+    for frontier-gated runs (``None`` otherwise)."""
+
+    iteration: int
+    values: np.ndarray
+    digest: str
+    frontier: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, iteration: int, values, frontier=None) -> "Checkpoint":
+        """Digested private copies of ``values`` and ``frontier`` as the
+        state after ``iteration`` sweeps."""
+        values = np.array(values, copy=True)
+        frontier = None if frontier is None else np.array(frontier, copy=True)
+        return cls(int(iteration), values,
+                   values_digest(values, int(iteration), frontier), frontier)
+
+    def verify(self) -> bool:
+        return values_digest(
+            self.values, self.iteration, self.frontier
+        ) == self.digest
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Immutable per-run settings shared by every engine.
@@ -231,12 +262,13 @@ class RunConfig:
     :class:`repro.resilience.FaultPlan` to arm deterministic fault
     injection at the :class:`FaultHooks` sites.
 
-    ``resume_values`` / ``start_iteration`` warm-start an engine from a
-    checkpoint: the engine copies ``resume_values`` instead of calling
-    ``program.initial_values`` and numbers iterations from
-    ``start_iteration + 1`` (absolute numbering, so fault sites and traces
-    line up with an uninterrupted run).  ``max_iterations`` stays the
-    *absolute* cap; a segmented supervisor raises it per segment.
+    ``resume`` warm-starts an engine from a :class:`Checkpoint`: the
+    engine copies ``resume.values`` instead of calling
+    ``program.initial_values``, numbers iterations from
+    ``resume.iteration + 1`` (so fault sites and traces line up with an
+    uninterrupted run), and under a frontier mode rebuilds the exact
+    dirty set from ``resume.frontier`` (``frontier="off"`` leaves it
+    unused).  ``max_iterations`` stays the *absolute* cap.
 
     ``frontier`` selects work-efficient sweeps: ``"off"`` (the default)
     runs the historical full sweep every iteration; ``"sparse"`` keeps a
@@ -246,10 +278,6 @@ class RunConfig:
     gather) or pull (dense sweep) direction each iteration from the
     frontier-size × average-degree heuristic.  Engines without shard
     structure (``scalar``, ``mtcpu``) treat any mode as ``"off"``.
-    ``resume_frontier`` carries the checkpointed updated-vertex mask of
-    the last executed iteration so a segmented frontier run rebuilds the
-    exact dirty set a continuous run would hold (see
-    ``repro.frameworks.frontier.resume_dirty``).
 
     ``certify`` gates the kernel property certifier
     (:mod:`repro.analysis.certify`): ``"off"`` (the default) never
@@ -290,19 +318,12 @@ class RunConfig:
 
     max_iterations: int = 10_000
     allow_partial: bool = False
-    collect_traces: bool = True
     tracer: object = NULL_TRACER
     exec_path: str = "fast"
     validate: str = "off"
     faults: FaultHooks = field(default=NULL_FAULTS, compare=False)
-    resume_values: np.ndarray | None = field(
-        default=None, compare=False, repr=False
-    )
-    start_iteration: int = 0
+    resume: Checkpoint | None = field(default=None, compare=False, repr=False)
     frontier: str = "off"
-    resume_frontier: np.ndarray | None = field(
-        default=None, compare=False, repr=False
-    )
     certify: str = "off"
     narrow: str = "off"
     devices: int = 1
@@ -316,17 +337,22 @@ class RunConfig:
     def with_tracer(self, tracer) -> "RunConfig":
         return replace(self, tracer=tracer)
 
+    @property
+    def start_iteration(self) -> int:
+        """Iterations already done: ``0``, or ``resume.iteration``."""
+        return 0 if self.resume is None else self.resume.iteration
+
     def initial_values(self, graph: DiGraph, program: VertexProgram):
         """The VertexValues an engine starts from under this config.
 
         A fresh run gets ``program.initial_values(graph)``; a warm-started
-        run gets a private mutable copy of ``resume_values`` (checkpoint
+        run gets a private mutable copy of ``resume.values`` (checkpoint
         snapshots are frozen in the cache, so engines must never write
         through the original).
         """
-        if self.resume_values is None:
+        if self.resume is None:
             return program.initial_values(graph)
-        return np.array(self.resume_values, copy=True)
+        return np.array(self.resume.values, copy=True)
 
 
 def run_config(
@@ -408,7 +434,7 @@ class RunResult:
     executed iteration* when a frontier mode is active (``None`` under
     ``frontier="off"``).  This is the checkpoint payload that lets a
     segmented frontier run resume bit-identically — see
-    ``RunConfig.resume_frontier``."""
+    ``RunConfig.resume``."""
     devices: int = 1
     """Simulated devices the run executed on (``RunConfig.devices``; a
     repartitioned recovery reports the maximum the stitched run saw)."""
@@ -420,6 +446,10 @@ class RunResult:
     """Modeled milliseconds of the exchange steps (already included in
     :attr:`kernel_time_ms`, which holds the multi-device iteration times);
     surfaced as ``placement.exchange_ms``."""
+    unoverlapped_ms: float = 0.0
+    """``cusha-streamed``: kernel ms with no chunk transfer overlapped."""
+    num_chunks: int = 0
+    """``cusha-streamed``: device-memory chunks the CW streams in."""
 
     @property
     def total_ms(self) -> float:
@@ -488,24 +518,14 @@ class Engine(ABC):
             config = RunConfig()
         if tracer is not None:
             config = config.with_tracer(tracer)
-        if config.resume_values is not None and (
-            len(config.resume_values) != graph.num_vertices
-        ):
-            raise ConfigError(
-                "resume_values has "
-                f"{len(config.resume_values)} entries for a graph with "
-                f"{graph.num_vertices} vertices",
-                knob="resume_values",
-            )
-        if config.resume_frontier is not None and (
-            len(config.resume_frontier) != graph.num_vertices
-        ):
-            raise ConfigError(
-                "resume_frontier has "
-                f"{len(config.resume_frontier)} entries for a graph with "
-                f"{graph.num_vertices} vertices",
-                knob="resume_frontier",
-            )
+        for part in ("values", "frontier"):
+            array = getattr(config.resume, part, None)
+            if array is not None and len(array) != graph.num_vertices:
+                raise ConfigError(
+                    f"resume.{part} has {len(array)} entries for a graph "
+                    f"with {graph.num_vertices} vertices",
+                    knob="resume",
+                )
         if config.validate != "off":
             # Imported here: repro.analysis depends on the graph and
             # vertexcentric layers, and must stay optional on the hot path.

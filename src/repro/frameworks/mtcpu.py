@@ -110,7 +110,7 @@ class MTCPUEngine(Engine):
                 resolve_cache(cache_opt),
                 lambda: CSRProblem.build(graph, program, cache=cache_opt),
             )
-            if config.resume_values is not None:
+            if config.resume is not None:
                 problem.vertex_values = config.initial_values(graph, program)
             chunk = max(1, -(-graph.num_vertices // self.threads))
             iter_ms = self._iteration_ms(graph, program)
@@ -135,13 +135,9 @@ class MTCPUEngine(Engine):
                     )
                     kernel_ms += iter_ms
                     iterations = iteration
-                    if config.collect_traces:
-                        traces.append(
-                            IterationTrace(
-                                iteration, int(updated_idx.size), iter_ms,
-                                kernel_ms,
-                            )
-                        )
+                    traces.append(IterationTrace(
+                        iteration, int(updated_idx.size), iter_ms, kernel_ms,
+                    ))
                     if trace_on:
                         it_span.model_ms = iter_ms
                         it_span.attrs["updated_vertices"] = int(updated_idx.size)

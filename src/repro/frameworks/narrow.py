@@ -32,7 +32,7 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from repro.frameworks.base import FaultHooks
+from repro.frameworks.base import Checkpoint, FaultHooks
 from repro.vertexcentric.datatypes import UINT_INF
 from repro.vertexcentric.program import VertexProgram
 
@@ -299,11 +299,12 @@ def narrow_gate(engine, graph, program, config):
             config = dc_replace(config, faults=RangeProbeHooks(
                 config.faults, program, probe_ranges))
         return program, config, None
-    if config.resume_values is not None:
-        config = dc_replace(
-            config,
-            resume_values=narrowed.narrow(np.asarray(config.resume_values)),
-        )
+    if config.resume is not None:
+        resume = config.resume
+        config = dc_replace(config, resume=Checkpoint.of(
+            resume.iteration, narrowed.narrow(np.asarray(resume.values)),
+            resume.frontier,
+        ))
     if config.validate == "full" and probe_ranges:
         config = dc_replace(config, faults=RangeProbeHooks(
             config.faults, narrowed, probe_ranges))

@@ -123,10 +123,7 @@ class ScalarReferenceEngine(Engine):
                         for e in range(start, stop):
                             src_value[e] = vertex_values[int(sh.src_index[e])]
             iterations = iteration
-            if config.collect_traces:
-                traces.append(
-                    IterationTrace(iteration, updated_total, 0.0, 0.0)
-                )
+            traces.append(IterationTrace(iteration, updated_total, 0.0, 0.0))
             if tracer.enabled:
                 # The oracle models no hardware: spans carry wall time only.
                 tracer.emit(

@@ -128,8 +128,9 @@ def _frontier(plan: SweepPlan, graph, config: RunConfig) -> ShardFrontier:
 
     indptr, targets = cached(
         plan.cache, ("frontier", plan.fingerprint, plan.unit_size), build)
+    resume = None if config.resume is None else config.resume.frontier
     return ShardFrontier(units, plan.unit_size, indptr, targets,
-                         resume=config.resume_frontier,
+                         resume=resume,
                          flush_pos=plan.flush_pos)
 
 
@@ -238,11 +239,9 @@ def run_sweeps(
                 kernel_ms += t_ms
                 total_stats += step.stats
                 iterations = iteration
-                if config.collect_traces:
-                    traces.append(IterationTrace(
-                        iteration, step.updated, t_ms, kernel_ms,
-                        step.processed,
-                    ))
+                traces.append(IterationTrace(
+                    iteration, step.updated, t_ms, kernel_ms, step.processed,
+                ))
                 if trace_on:
                     it_span.model_ms = t_ms
                     attrs = it_span.attrs

@@ -334,10 +334,10 @@ class VWCEngine(Engine):
         vpw = self.spec.warp_size // self.virtual_warp_size
         n = graph.num_vertices
 
-        if config.resume_values is not None:
+        if config.resume is not None:
             # CSRProblem.build initialized fresh values; warm-start from the
-            # checkpoint instead (copied — snapshots are frozen).
-            problem.vertex_values = np.array(config.resume_values, copy=True)
+            # checkpoint instead.
+            problem.vertex_values = config.initial_values(graph, program)
 
         # The scheduling unit is the Gauss-Seidel vertex chunk: updates land
         # live at each chunk's end, so marks flush immediately

@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.errors import GraphFormatError
+
 INDEX_DTYPE = np.int32
 """Dtype for vertex indices; 4 bytes, as assumed by the paper's size formulas."""
 
@@ -56,23 +58,23 @@ class DiGraph:
         num_vertices = int(num_vertices)
         if validate:
             if src.ndim != 1 or dst.ndim != 1:
-                raise ValueError("src and dst must be one-dimensional arrays")
+                raise GraphFormatError("src and dst must be one-dimensional arrays")
             if src.shape != dst.shape:
-                raise ValueError(
+                raise GraphFormatError(
                     f"src and dst must have equal length, got {src.shape} and {dst.shape}"
                 )
             if num_vertices < 0:
-                raise ValueError("num_vertices must be non-negative")
+                raise GraphFormatError("num_vertices must be non-negative")
             if src.size:
                 lo = min(int(src.min()), int(dst.min()))
                 hi = max(int(src.max()), int(dst.max()))
                 if lo < 0 or hi >= num_vertices:
-                    raise ValueError(
+                    raise GraphFormatError(
                         f"edge endpoints must lie in [0, {num_vertices}), "
                         f"found range [{lo}, {hi}]"
                     )
             if weights is not None and weights.shape != src.shape:
-                raise ValueError("weights must align with the edge arrays")
+                raise GraphFormatError("weights must align with the edge arrays")
         self.src = src
         self.dst = dst
         self.num_vertices = num_vertices

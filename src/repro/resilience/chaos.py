@@ -263,7 +263,6 @@ def run_campaign(
                     config=RunConfig(
                         max_iterations=_MAX_ITERATIONS,
                         allow_partial=True,
-                        collect_traces=False,
                         faults=plan,
                         devices=2 if fault == "device-loss" else 1,
                     ),
@@ -334,7 +333,6 @@ def run_multi_device_campaign(
                 config=RunConfig(
                     max_iterations=_MAX_ITERATIONS,
                     allow_partial=True,
-                    collect_traces=False,
                     faults=plan,
                     devices=devices,
                 ),

@@ -5,13 +5,13 @@ written back every updated shard, the whole algorithm state *is* the
 VertexValues array (``src_value`` is a pure function of it), plus — when
 the run is frontier-gated — the last iteration's updated-vertex mask,
 from which :func:`repro.frameworks.frontier.resume_dirty` reconstructs
-the exact dirty bitmap.  A :class:`Checkpoint` therefore snapshots
+the exact dirty bitmap.  A :class:`~repro.frameworks.base.Checkpoint`
+(defined next to ``RunConfig`` and re-exported here) therefore snapshots
 ``(iteration, values, frontier)`` plus a blake2b digest over all three;
-warm-starting any engine from it via ``RunConfig(resume_values=...,
-start_iteration=..., resume_frontier=...)`` is bit-identical to having
-never stopped (equivalence-gated in ``tests/test_resilience.py``).  For
-``frontier="off"`` runs the mask is ``None`` and the cut degenerates to
-the classic values-only snapshot.
+warm-starting any engine from it via ``RunConfig(resume=checkpoint)`` is
+bit-identical to having never stopped (equivalence-gated in
+``tests/test_resilience.py``).  For ``frontier="off"`` runs the mask is
+``None`` and the cut degenerates to the classic values-only snapshot.
 
 Storage reuses :class:`repro.cache.RepresentationCache`: snapshots are
 ``put`` under ``("ckpt", run_id, iteration)`` keys, which buys the cache's
@@ -25,50 +25,13 @@ cold restart when nothing valid is left.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.analysis.violations import Violation
 from repro.cache import RepresentationCache
+from repro.frameworks.base import Checkpoint, values_digest
 
 __all__ = ["Checkpoint", "CheckpointStore", "values_digest"]
-
-
-def values_digest(
-    values: np.ndarray, iteration: int,
-    frontier: np.ndarray | None = None,
-) -> str:
-    """blake2b over the snapshot's bytes, iteration, value layout, and
-    (when present) the frontier mask — a flipped frontier bit would
-    silently skip live shards on resume, so it is integrity-checked too.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.int64(iteration).tobytes())
-    h.update(str(values.dtype).encode())
-    h.update(np.ascontiguousarray(values).tobytes())
-    if frontier is not None:
-        h.update(b"frontier")
-        h.update(np.ascontiguousarray(frontier).tobytes())
-    return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """One recoverable state: VertexValues after ``iteration`` sweeps,
-    plus the frontier mask for frontier-gated runs (``None`` otherwise).
-    """
-
-    iteration: int
-    values: np.ndarray
-    digest: str
-    frontier: np.ndarray | None = None
-
-    def verify(self) -> bool:
-        return values_digest(
-            self.values, self.iteration, self.frontier
-        ) == self.digest
 
 
 class CheckpointStore:
@@ -85,7 +48,6 @@ class CheckpointStore:
         )
         self.run_id = run_id
         self._iterations: list[int] = []
-        self.saves = 0
 
     def _key(self, iteration: int):
         return ("ckpt", self.run_id, iteration)
@@ -103,19 +65,12 @@ class CheckpointStore:
         frontier: np.ndarray | None = None,
     ) -> Checkpoint:
         """Snapshot ``values`` (and the frontier mask, when the run is
-        frontier-gated) as the state after ``iteration`` sweeps."""
-        snap = np.array(values, copy=True)
-        fsnap = None if frontier is None else np.array(frontier, copy=True)
-        ckpt = Checkpoint(
-            iteration=int(iteration),
-            values=snap,
-            digest=values_digest(snap, int(iteration), fsnap),
-            frontier=fsnap,
-        )
-        self._cache.put(self._key(int(iteration)), ckpt)
-        if int(iteration) not in self._iterations:
-            self._iterations.append(int(iteration))
-        self.saves += 1
+        frontier-gated) as the state after ``iteration`` sweeps; returns
+        the stored checkpoint, ready for ``RunConfig(resume=...)``."""
+        ckpt = Checkpoint.of(iteration, values, frontier)
+        self._cache.put(self._key(ckpt.iteration), ckpt)
+        if ckpt.iteration not in self._iterations:
+            self._iterations.append(ckpt.iteration)
         return ckpt
 
     def restore(self) -> tuple[Checkpoint | None, list[Violation]]:

@@ -4,12 +4,12 @@
 ``checkpoint_every`` iterations, checkpointing VertexValues at every
 segment boundary.  Each segment is an ordinary warm-started
 ``Engine.run`` under the caller's own ``RunConfig`` with only the
-supervisor's fields replaced (``resume_values`` + ``start_iteration``
-with the absolute ``max_iterations`` cap, the rung's ``exec_path``, the
-surviving topology), so iteration numbering — and therefore every fault
-site — is identical to an uninterrupted run, and a fault-free supervised
-run stitches back to a plain one: the same values, ``stats``,
-``stage_stats`` and traces.
+supervisor's fields replaced (``resume``, the checkpoint it continues
+from, with the absolute ``max_iterations`` cap, the rung's
+``exec_path``, the surviving topology), so iteration numbering — and
+therefore every fault site — is identical to an uninterrupted run, and
+a fault-free supervised run stitches back to a plain one: the same
+values, ``stats``, ``stage_stats`` and traces.
 
 When a segment raises an :class:`~repro.resilience.faults.InjectedFault`,
 the supervisor maps detection to recovery:
@@ -61,7 +61,7 @@ from repro.frameworks.base import (ConvergenceError, RunConfig, RunResult,
                                    run_config)
 from repro.frameworks.registry import make_engine
 from repro.gpu.stats import KernelStats
-from repro.resilience.checkpoint import CheckpointStore
+from repro.resilience.checkpoint import Checkpoint, CheckpointStore
 from repro.resilience.faults import (DeviceLostFault, InjectedFault,
                                      SharedMemOOMFault)
 from repro.resilience.policy import RetryPolicy, degradation_steps
@@ -84,7 +84,7 @@ _FAULT_CODES: dict[str, tuple[str, str, str]] = {
 #: RunResult fields a stitched run sums over its segments.
 _ADDITIVE = ("stats", "kernel_time_ms", "h2d_ms", "d2h_ms", "cache_hits",
              "cache_misses", "edges_processed", "shards_skipped",
-             "exchange_bytes", "exchange_ms")
+             "exchange_bytes", "exchange_ms", "unoverlapped_ms")
 
 
 @dataclass(frozen=True)
@@ -142,15 +142,19 @@ class ResilientResult:
 @dataclass
 class _Cursor:
     """Where a supervised run stands: its ladder rung, the retry attempt
-    on that rung, and the state the next segment resumes from."""
+    on that rung, and the checkpoint the next segment resumes from
+    (``None``: a cold start)."""
 
     rung: int = 0
     attempt: int = 0
-    done: int = 0
-    values: np.ndarray | None = None
-    frontier: np.ndarray | None = None
+    resume: Checkpoint | None = None
     devices: int = 1
     placement: object = None
+
+    @property
+    def done(self) -> int:
+        """Iterations the next segment resumes after."""
+        return 0 if self.resume is None else self.resume.iteration
 
 
 class ResilientRunner:
@@ -214,8 +218,7 @@ class ResilientRunner:
         Each segment runs under ``config`` with only the fields the
         supervisor owns replaced: ``max_iterations`` (the segment's
         absolute cap), ``allow_partial``, ``exec_path`` (the ladder
-        rung's), ``resume_values`` / ``start_iteration`` /
-        ``resume_frontier`` (the checkpoint the segment resumes from),
+        rung's), ``resume`` (the checkpoint the segment resumes from),
         and ``devices`` / ``placement`` (the topology left after any
         repartition), so the caller's values of those are ignored.
         Every other field — ``frontier``, ``validate``, ``certify``,
@@ -263,9 +266,7 @@ class ResilientRunner:
                                    config.max_iterations),
                 allow_partial=True,
                 exec_path=exec_path,
-                resume_values=cur.values,
-                start_iteration=cur.done,
-                resume_frontier=cur.frontier,
+                resume=cur.resume,
                 devices=cur.devices,
                 placement=cur.placement,
             )
@@ -282,10 +283,8 @@ class ResilientRunner:
                 continue
             cur.attempt = 0
             segments.append(seg)
-            cur.done = seg.iterations
-            cur.values = seg.values
-            cur.frontier = seg.frontier_mask
-            store.save(cur.done, cur.values, frontier=cur.frontier)
+            cur.resume = store.save(seg.iterations, seg.values,
+                                    frontier=seg.frontier_mask)
             out.checkpoints += 1
             record(RecoveryEvent(
                 action="checkpoint", code="", engine=engine_key,
@@ -396,7 +395,7 @@ class ResilientRunner:
         iterations the fault threw away count as replayed.
         """
         engine_key, exec_path = steps[cur.rung]
-        ckpt, bad = store.restore()
+        cur.resume, bad = store.restore()
         out.violations.extend(bad)
         for v in bad:
             record(RecoveryEvent(
@@ -405,12 +404,6 @@ class ResilientRunner:
                 iteration=fault.iteration, detail=v.message,
             ))
         out.restores += 1
-        if ckpt is None:
-            cur.done, cur.values, cur.frontier = 0, None, None
-        else:
-            cur.done, cur.values, cur.frontier = (
-                ckpt.iteration, ckpt.values, ckpt.frontier
-            )
         out.replayed_iterations += max(
             0, fault.iterations_completed - cur.done
         )

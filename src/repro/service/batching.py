@@ -136,14 +136,13 @@ def weights_digest(graph: DiGraph) -> str:
 def _config_key(config: RunConfig) -> tuple:
     """The RunConfig fields that must match for two queries to coalesce.
 
-    The tracer is observability, not semantics; ``resume_values`` /
-    ``start_iteration`` warm starts and armed fault plans make a query
-    non-batchable in the first place (see ``Service.submit``).
+    The tracer is observability, not semantics; ``resume`` warm starts
+    and armed fault plans make a query non-batchable in the first place
+    (see ``Service.submit``).
     """
     return (
         config.max_iterations,
         config.allow_partial,
-        config.collect_traces,
         config.exec_path,
         config.validate,
         config.frontier,

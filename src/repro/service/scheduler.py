@@ -83,7 +83,7 @@ class Job:
         if (
             batchable(request.program)
             and not shed
-            and config.resume_values is None
+            and config.resume is None
             and config.tracer is NULL_TRACER
             and not config.faults.active
             and config.devices == 1

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["UINT_INF", "vertex_dtype", "field_bytes"]
+from repro.errors import GraphFormatError
+
+__all__ = ["UINT_INF", "vertex_dtype", "field_bytes", "uint32_weights"]
 
 UINT_INF = np.uint32(0xFFFFFFFF)
 """The paper's ``INF`` sentinel for unsigned 4-byte vertex values."""
@@ -71,3 +73,16 @@ def field_bytes(dtype: np.dtype, name: str) -> int:
             subject=name,
         )
     return dtype.fields[name][0].itemsize
+
+
+def uint32_weights(weights: np.ndarray, program: str) -> np.ndarray:
+    """``weights`` as ``uint32`` edge values; a weight the cast would wrap
+    or zero (negative, NaN, inf, too large) is a ``GraphFormatError``."""
+    if weights.size:
+        lo, hi = weights.min(), weights.max()
+        if not (0 <= lo and hi <= UINT_INF):  # NaN fails both
+            raise GraphFormatError(
+                f"{program} needs finite edge weights in "
+                f"[0, {int(UINT_INF)}], found range [{lo}, {hi}]"
+            )
+    return weights.astype(np.uint32)

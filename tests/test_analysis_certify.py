@@ -40,7 +40,7 @@ from repro.analysis.fixtures import (
 from repro.cache import RepresentationCache
 from repro.cli import main
 from repro.errors import CertificationError, ConfigError
-from repro.frameworks import RunConfig, make_engine
+from repro.frameworks import Checkpoint, RunConfig, make_engine
 from repro.graph import generators
 from repro.service import (
     TRAVERSAL_SPECS,
@@ -193,22 +193,26 @@ class TestRuntimeGateFrontier:
         assert metrics["analysis.violations.certify-degraded"]["value"] == 1
         assert tracer.find(kind="analysis", name="analysis.certify.degrade")
 
-    def test_warn_nulls_resume_frontier_when_degrading(self, graph):
-        # Degrading frontier -> "off" must also drop resume_frontier, or
-        # the replaced config would violate its own compat table.
+    def test_warn_degrade_keeps_the_resume_checkpoint(self, graph):
+        # Degrading frontier -> "off" keeps the checkpoint whole: a full
+        # sweep leaves its frontier mask unused.
         program = SlipperyQuiescenceProgram()
-        resumed = make_engine("cusha-cw", cache=False).run(
+        engine = make_engine("cusha-cw", cache=False)
+        resumed = engine.run(
             graph, SlipperyQuiescenceProgram(),
             config=RunConfig(frontier="sparse", max_iterations=4,
                              allow_partial=True))
-        cfg = RunConfig(
-            frontier="sparse", certify="warn",
-            resume_values=resumed.values,
-            resume_frontier=np.zeros(graph.num_vertices, dtype=bool),
-        )
-        out = runtime_gate(make_engine("cusha-cw", cache=False), program, cfg)
+        resume = Checkpoint.of(resumed.iterations, resumed.values,
+                               np.zeros(graph.num_vertices, dtype=bool))
+        cfg = RunConfig(frontier="sparse", certify="warn", resume=resume,
+                        max_iterations=8, allow_partial=True)
+        out = runtime_gate(engine, program, cfg)
         assert out.frontier == "off"
-        assert out.resume_frontier is None
+        assert out.resume is resume
+        full = engine.run(graph, program, config=RunConfig(
+            resume=resume, max_iterations=8, allow_partial=True))
+        assert engine.run(graph, program, config=cfg).values.tobytes() \
+            == full.values.tobytes()
 
     def test_gate_pass_counter_on_certified_run(self, graph):
         tracer = Tracer()

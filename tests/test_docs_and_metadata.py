@@ -1,6 +1,7 @@
 """Repository hygiene: docs exist and reference real artifacts, doctests
 pass, the package metadata is coherent."""
 
+import dataclasses
 import doctest
 import pathlib
 import re
@@ -70,6 +71,15 @@ class TestDocuments:
         names = re.findall(r"`(\w+)`", listed.group(1))
         assert sorted(names) == sorted(set(names)), "duplicate names"
         assert set(names) == OPTION_NAMES
+
+    def test_api_run_config_fields_match_dataclass(self):
+        from repro.frameworks import RunConfig
+
+        text = (ROOT / "docs" / "api.md").read_text()
+        listed = re.search(r"^The `RunConfig` fields are (.+?)\.$",
+                           text, re.MULTILINE | re.DOTALL)
+        names = re.findall(r"`(\w+)`", listed.group(1))
+        assert names == [f.name for f in dataclasses.fields(RunConfig)]
 
     def test_analysis_doc_is_cross_linked(self):
         assert "analysis.md" in (ROOT / "README.md").read_text()

@@ -106,11 +106,6 @@ class TestRunResult:
         assert all(b >= a for a, b in zip(cum, cum[1:]))
         assert cum[-1] == pytest.approx(res.kernel_time_ms)
 
-    def test_collect_traces_off(self, rmat_small):
-        res = CuShaEngine("cw").run(rmat_small, make_program("bfs", rmat_small), config=RunConfig(collect_traces=False))
-        assert res.traces == []
-        assert res.iterations > 0
-
     def test_field_values_accessor(self, rmat_small):
         res = CuShaEngine("cw").run(rmat_small, make_program("bfs", rmat_small))
         assert np.array_equal(res.field_values(), res.values["level"])

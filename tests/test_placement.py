@@ -207,8 +207,7 @@ class TestDeviceLossRecovery:
         runner = ResilientRunner("cusha-cw", checkpoint_every=2)
         outcome = runner.run(
             graph, program,
-            config=RunConfig(devices=devices, faults=plan,
-                             collect_traces=False))
+            config=RunConfig(devices=devices, faults=plan))
         assert outcome.recovered
         assert outcome.repartitions == 1
         assert outcome.result.values.tobytes() == golden.values.tobytes()
@@ -251,8 +250,7 @@ class TestDeviceLossRecovery:
             seed=5)
         outcome = ResilientRunner("cusha-cw", checkpoint_every=2).run(
             graph, program,
-            config=RunConfig(devices=2, faults=plan,
-                             collect_traces=False))
+            config=RunConfig(devices=2, faults=plan))
         assert outcome.recovered
         assert outcome.result.values.tobytes() == golden.values.tobytes()
 

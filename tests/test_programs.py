@@ -9,6 +9,7 @@ simulating one compute stage both ways.
 import numpy as np
 import pytest
 
+import repro
 from repro.algorithms import (
     BFS,
     SSSP,
@@ -16,6 +17,8 @@ from repro.algorithms import (
     default_source,
     make_program,
 )
+from repro.errors import GraphFormatError
+from repro.graph import DiGraph
 from repro.vertexcentric.datatypes import UINT_INF, field_bytes, vertex_dtype
 from repro.vertexcentric.program import apply_reductions
 from tests.conftest import random_graph
@@ -241,6 +244,25 @@ class TestSetups:
     def test_make_program_unknown(self):
         with pytest.raises(KeyError):
             make_program("apsp", random_graph(0))
+
+
+class TestUnrepresentableWeights:
+    """SSSP and SSWP read weights as ``uint32``: a weight with no such
+    value is refused before the cast could wrap or zero it."""
+
+    @pytest.mark.parametrize("name", ["sssp", "sswp"])
+    @pytest.mark.parametrize("bad", [-2.0, np.nan, np.inf, 2.0 ** 40],
+                             ids=["negative", "nan", "inf", "too-large"])
+    def test_refused(self, name, bad):
+        g = DiGraph([0, 1], [1, 2], 3, weights=[bad, 1.0])
+        with pytest.raises(GraphFormatError, match="edge weights"):
+            repro.run(g, name, source=0)
+
+    @pytest.mark.parametrize("name", ["sssp", "sswp"])
+    def test_integral_weights_cast_exactly(self, name):
+        g = DiGraph([0, 1], [1, 2], 3, weights=[0.0, 4294967295.0])
+        ev = make_program(name, g).edge_values(g)
+        assert ev[ev.dtype.names[0]].tolist() == [0, 4294967295]
 
 
 class TestDatatypes:

@@ -93,6 +93,24 @@ class TestErrorConsolidation:
         assert quotas.QuotaExceededError is errors.QuotaExceededError
         assert repro.ReproError is errors.ReproError
 
+    def test_unknown_program_is_typed(self, graph):
+        with pytest.raises(errors.ProgramKeyError) as exc:
+            repro.run(graph, "nope")
+        assert isinstance(exc.value, KeyError)
+        assert str(exc.value).startswith("unknown program 'nope'; known: ")
+
+    @pytest.mark.parametrize("args", [
+        ([[0]], [[1]], 2),            # not one-dimensional
+        ([0, 1], [1], 2),             # unequal lengths
+        ([0], [0], -1),               # negative num_vertices
+        ([0], [2], 2),                # endpoint past num_vertices
+        ([-1], [0], 2),               # negative endpoint
+        ([0], [1], 2, [1.0, 2.0]),    # misaligned weights
+    ])
+    def test_bad_digraph_is_typed(self, args):
+        with pytest.raises(errors.GraphFormatError):
+            repro.DiGraph(*args)
+
     def test_catch_all_base(self, graph):
         eng = make_engine("cusha-cw", cache=False)
         prog = repro.make_program("sssp", graph, source=0)

@@ -49,7 +49,7 @@ class TestWarmStartResume:
             max_iterations=3, allow_partial=True))
         seg2 = make_engine(key).run(g, program, config=RunConfig(
             max_iterations=100, allow_partial=True,
-            resume_values=seg1.values, start_iteration=seg1.iterations))
+            resume=Checkpoint.of(seg1.iterations, seg1.values)))
         assert seg2.values.tobytes() == cont.values.tobytes()
         assert seg2.iterations == cont.iterations
         assert seg2.converged == cont.converged
@@ -65,7 +65,7 @@ class TestWarmStartResume:
         t = Tracer()
         seg2 = make_engine("cusha-cw").run(g, program, config=RunConfig(
             max_iterations=100, allow_partial=True, tracer=t,
-            resume_values=seg1.values, start_iteration=2))
+            resume=Checkpoint.of(2, seg1.values)))
         assert seg2.iterations == cont.iterations  # absolute numbering
         executed = t.metrics.counter("engine.iterations").value
         assert executed == cont.iterations - 2  # only the delta is counted
@@ -75,14 +75,10 @@ class TestWarmStartResume:
     def test_resume_values_length_validated(self):
         g = _graph()
         program = make_program("bfs", g)
-        with pytest.raises(ValueError, match="resume_values"):
+        with pytest.raises(ValueError, match="resume.values"):
             make_engine("cusha-cw").run(g, program, config=RunConfig(
                 max_iterations=10, allow_partial=True,
-                resume_values=np.zeros(3), start_iteration=1))
-
-    def test_start_iteration_requires_resume_values(self):
-        with pytest.raises(ValueError, match="resume_values"):
-            RunConfig(start_iteration=2)
+                resume=Checkpoint.of(1, np.zeros(3))))
 
     def test_engines_never_write_through_resume_values(self):
         g = _graph()
@@ -93,7 +89,21 @@ class TestWarmStartResume:
         frozen.setflags(write=False)  # as a checkpoint in the cache would be
         make_engine("cusha-cw").run(g, program, config=RunConfig(
             max_iterations=100, allow_partial=True,
-            resume_values=frozen, start_iteration=2))
+            resume=Checkpoint(2, frozen, values_digest(frozen, 2))))
+
+    def test_full_sweep_ignores_the_checkpoint_mask(self):
+        g = _graph()
+        program = make_program("sssp", g)
+        seg1 = make_engine("cusha-cw").run(g, program, config=RunConfig(
+            max_iterations=3, allow_partial=True, frontier="sparse"))
+        with_mask, without = (
+            make_engine("cusha-cw").run(g, program, config=RunConfig(
+                max_iterations=100, allow_partial=True,
+                resume=Checkpoint.of(3, seg1.values, mask)))
+            for mask in (seg1.frontier_mask, None))
+        assert with_mask.values.tobytes() == without.values.tobytes()
+        assert with_mask.stats == without.stats
+        assert with_mask.traces == without.traces
 
     @pytest.mark.parametrize("key", ENGINES)
     def test_segmented_frontier_run_bit_identical_to_continuous(self, key):
@@ -111,8 +121,8 @@ class TestWarmStartResume:
             max_iterations=3, allow_partial=True, frontier="sparse"))
         seg2 = make_engine(key).run(g, program, config=RunConfig(
             max_iterations=100, allow_partial=True, frontier="sparse",
-            resume_values=seg1.values, start_iteration=seg1.iterations,
-            resume_frontier=seg1.frontier_mask))
+            resume=Checkpoint.of(seg1.iterations, seg1.values,
+                                 seg1.frontier_mask)))
         assert seg2.values.tobytes() == cont.values.tobytes()
         assert seg2.iterations == cont.iterations
         assert seg2.converged == cont.converged
@@ -543,6 +553,19 @@ def test_supervised_run_equals_uninterrupted(key, frontier, program_name):
     for got, want in zip(out.traces, plain.traces):
         assert math.isclose(got.cumulative_time_ms, want.cumulative_time_ms,
                             rel_tol=1e-12)
+
+
+def test_supervised_streamed_run_keeps_overlap_accounting():
+    """cusha-streamed's overlap fields survive the segment stitch."""
+    g = _graph()
+    program = make_program("sssp", g)
+    config = RunConfig(max_iterations=100, allow_partial=True)
+    plain = make_engine("cusha-streamed").run(g, program, config=config)
+    out = ResilientRunner("cusha-streamed", checkpoint_every=2).run(
+        g, program, config=config).result
+    assert out.num_chunks == plain.num_chunks > 0
+    assert math.isclose(out.unoverlapped_ms, plain.unoverlapped_ms,
+                        rel_tol=1e-12)
 
 
 # ----------------------------------------------------------------------

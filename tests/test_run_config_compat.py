@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.frameworks import RunConfig
+from repro.frameworks import Checkpoint, RunConfig
 from repro.frameworks.base import _INVALID_COMBOS
 from repro.placement import Placement
 
@@ -87,31 +87,24 @@ class TestResumeAndIterationRules:
 
     def test_negative_start_iteration_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig(start_iteration=-1, resume_values=VALUES)
+            RunConfig(resume=Checkpoint.of(-1, VALUES))
 
     def test_start_iteration_must_stay_below_max(self):
         with pytest.raises(ConfigError):
-            RunConfig(start_iteration=5, max_iterations=5,
-                      resume_values=VALUES)
+            RunConfig(max_iterations=5, resume=Checkpoint.of(5, VALUES))
 
-    def test_start_iteration_requires_resume_values(self):
-        with pytest.raises(ConfigError):
-            RunConfig(start_iteration=3)
-
-    def test_resume_frontier_requires_resume_values(self):
-        with pytest.raises(ConfigError):
-            RunConfig(frontier="sparse", resume_frontier=MASK)
-
-    def test_resume_frontier_requires_a_frontier_mode(self):
-        with pytest.raises(ConfigError):
-            RunConfig(resume_values=VALUES, resume_frontier=MASK)
+    @pytest.mark.parametrize("resume", [VALUES, 3])
+    def test_resume_must_be_a_checkpoint(self, resume):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(resume=resume)
+        assert exc.value.knob == "resume"
 
     @pytest.mark.parametrize("frontier", ["sparse", "auto"])
     def test_valid_warm_start_constructs(self, frontier):
-        config = RunConfig(frontier=frontier, start_iteration=2,
-                           resume_values=VALUES, resume_frontier=MASK)
+        resume = Checkpoint.of(2, VALUES, MASK)
+        config = RunConfig(frontier=frontier, resume=resume)
         assert config.start_iteration == 2
-        assert config.resume_frontier is MASK
+        assert config.resume is resume
 
 
 class TestTableHygiene:
@@ -119,19 +112,13 @@ class TestTableHygiene:
     # this list aligned with _INVALID_COMBOS proves no rule is dead.
     EXAMPLES = [
         {"max_iterations": 2.5},
-        {"start_iteration": 1.5, "resume_values": VALUES},
         {"devices": 2.0},
         {"exec_path": "bogus"},
         {"frontier": "bogus"},
         {"validate": "bogus"},
         {"certify": "bogus"},
         {"max_iterations": 0},
-        {"start_iteration": -1, "resume_values": VALUES},
-        {"start_iteration": 9, "max_iterations": 9,
-         "resume_values": VALUES},
-        {"frontier": "sparse", "resume_frontier": MASK},
-        {"resume_values": VALUES, "resume_frontier": MASK},
-        {"start_iteration": 1},
+        {"resume": Checkpoint.of(9, VALUES), "max_iterations": 9},
         {"certify": "enforce", "validate": "off"},
         {"narrow": "bogus"},
         {"devices": 0},

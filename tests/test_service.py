@@ -553,7 +553,7 @@ class TestMultiDeviceService:
                        iteration=2, device=1)],
             seed=0)
         tracer = Tracer()
-        config = RunConfig(devices=2, faults=plan, collect_traces=False)
+        config = RunConfig(devices=2, faults=plan)
         with Service(workers=1, devices=2, tracer=tracer) as svc:
             handle = svc.submit(
                 JobRequest(graph, "sssp", source=0, config=config))

@@ -17,9 +17,9 @@ import pytest
 
 import repro
 from repro.errors import ConfigError
-from repro.frameworks import (CuShaEngine, MTCPUEngine, RunConfig,
-                              StreamedCuShaEngine, VWCEngine, engine_keys,
-                              make_engine)
+from repro.frameworks import (Checkpoint, CuShaEngine, MTCPUEngine,
+                              RunConfig, StreamedCuShaEngine, VWCEngine,
+                              engine_keys, make_engine)
 from repro.frameworks import registry
 from repro.gpu.spec import GTX780, I7_3930K
 from repro.graph import GShards, generators
@@ -47,16 +47,13 @@ def field_settings(graph) -> dict[str, dict]:
     return {
         "max_iterations": {"max_iterations": 500},
         "allow_partial": {"allow_partial": True},
-        "collect_traces": {"collect_traces": False},
         "tracer": {"tracer": Tracer()},
         "exec_path": {"exec_path": "reference"},
         "validate": {"validate": "structure"},
         "faults": {"faults": FaultPlan([])},
-        "resume_values": {"resume_values": start},
-        "start_iteration": {"resume_values": start, "start_iteration": 1},
+        "resume": {"resume": Checkpoint.of(1, start, mask),
+                   "frontier": "sparse"},
         "frontier": {"frontier": "sparse"},
-        "resume_frontier": {"resume_values": start, "frontier": "sparse",
-                            "resume_frontier": mask},
         "certify": {"certify": "warn"},
         "narrow": {"narrow": "auto"},
         "devices": {"devices": 2},
@@ -106,6 +103,23 @@ class TestKeywordEqualsConfig:
                            tracer=None, faults=None)
         assert np.array_equal(
             result.values, repro.run(graph, "bfs", source=0).values)
+
+
+class TestRetiredFields:
+    """A warm start is one ``resume`` Checkpoint and traces are always
+    collected; the four fields those replaced are refused with a
+    ``TypeError`` wherever run settings are taken."""
+
+    @pytest.mark.parametrize("name", ["collect_traces", "resume_values",
+                                      "start_iteration", "resume_frontier"])
+    def test_refused(self, graph, name):
+        program = repro.make_program("bfs", graph, source=0)
+        with pytest.raises(TypeError):
+            RunConfig(**{name: 1})
+        with pytest.raises(TypeError):
+            repro.run(graph, "bfs", source=0, **{name: 1})
+        with pytest.raises(TypeError):
+            ResilientRunner("cusha-cw").run(graph, program, **{name: 1})
 
 
 class TestUnknownOptionsRefused:
@@ -197,15 +211,15 @@ class TestTypedParameterErrors:
     def test_resume_lengths(self, graph, knob):
         program = repro.make_program("bfs", graph, source=0)
         start = program.initial_values(graph)
-        config = {
-            "resume_values": RunConfig(resume_values=start[:-1]),
-            "resume_frontier": RunConfig(
-                resume_values=start, frontier="sparse",
-                resume_frontier=np.zeros(3, dtype=bool)),
+        resume = {
+            "resume_values": Checkpoint.of(1, start[:-1]),
+            "resume_frontier": Checkpoint.of(
+                1, start, np.zeros(3, dtype=bool)),
         }[knob]
+        config = RunConfig(resume=resume, frontier="sparse")
         with pytest.raises(ConfigError) as exc:
             make_engine("cusha-cw").run(graph, program, config=config)
-        assert exc.value.knob == knob
+        assert exc.value.knob == "resume"
 
 
 class TestIntegralSeedsAndCounts:
@@ -221,8 +235,7 @@ class TestIntegralSeedsAndCounts:
     @pytest.mark.parametrize("kwargs,knob", [
         ({"max_iterations": 2.5}, "max_iterations"),
         ({"max_iterations": "5"}, "max_iterations"),
-        ({"start_iteration": 0.5, "resume_values": np.zeros(4)},
-         "start_iteration"),
+        ({"resume": Checkpoint(0.5, np.zeros(4), "")}, "resume"),
         ({"devices": 2.0}, "devices"),
     ])
     def test_non_integer_counts_refused(self, kwargs, knob):

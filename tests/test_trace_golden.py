@@ -115,7 +115,7 @@ def render_result(r) -> list[str]:
     for t in r.traces:
         lines.append(f"trace {t!r}")
     for extra in ("unoverlapped_ms", "num_chunks"):
-        if hasattr(r, extra):
+        if getattr(r, extra):
             lines.append(f"{extra}={getattr(r, extra)!r}")
     return lines
 

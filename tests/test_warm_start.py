@@ -1,7 +1,7 @@
 """Warm-start equivalence of the fast and reference operators.
 
-A supervisor resumes a run from a checkpoint (``resume_values``,
-``start_iteration`` and, with a frontier, ``resume_frontier``).  The fast
+A supervisor resumes a run from a checkpoint (``RunConfig(resume=...)``:
+the values, the iteration and, with a frontier, its mask).  The fast
 operators never store ``SrcValue``: they read ``VertexValues[SrcIndex]``,
 which is exact only if the state they start from satisfies the wave-start
 invariant.  These tests resume from a mid-run state and require the fast
@@ -14,7 +14,8 @@ from dataclasses import replace
 import pytest
 
 from repro.algorithms import make_program
-from repro.frameworks import CuShaEngine, RunConfig, StreamedCuShaEngine
+from repro.frameworks import (Checkpoint, CuShaEngine, RunConfig,
+                              StreamedCuShaEngine)
 from repro.graph.generators import random_weights, rmat
 from repro.telemetry import Tracer
 
@@ -52,9 +53,8 @@ def test_resumed_fast_equals_reference(graph, key, program_name, frontier):
     )
     assert not first.converged
     resume = RunConfig(
-        max_iterations=500, frontier=frontier, start_iteration=SPLIT,
-        resume_values=first.values,
-        resume_frontier=None if frontier == "off" else first.frontier_mask,
+        max_iterations=500, frontier=frontier,
+        resume=Checkpoint.of(SPLIT, first.values, first.frontier_mask),
     )
     runs = {}
     for path in ("fast", "reference"):
