@@ -68,6 +68,7 @@ import numpy as np
 
 from repro.analysis.violations import CODES, Violation
 from repro.errors import CertificationError
+from repro.frameworks.scalar import vertex_sweep
 
 __all__ = [
     "PROVED",
@@ -1431,60 +1432,19 @@ def _dest_dependence(program, comp_low, msgs_low):
 
 def _tiny_setup(program):
     from repro.graph import generators
-    from repro.graph.order import edge_order
 
     graph = generators.rmat(48, 192, seed=7)
     if program.edge_dtype is not None and graph.weights is None:
         graph = generators.random_weights(graph, low=1, high=8, seed=11)
-    values = program.initial_values(graph)
-    statics = program.static_values(graph)
-    edges = program.edge_values(graph)
-    order = edge_order(graph.dst)
-    indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
-    np.add.at(indptr[1:], graph.dst, 1)
-    np.cumsum(indptr, out=indptr)
-    return graph, values, statics, edges, indptr, order
+    return (graph, program.initial_values(graph),
+            program.static_values(graph), program.edge_values(graph))
 
 
-def _scalar_sweep(
-    program, graph, values, statics, edges, indptr, order,
-    *, jacobi: bool = True, rng=None,
-) -> int:
-    """One reference iteration over the scalar kernels; returns updates.
-
-    ``jacobi=True`` reads from a pre-sweep snapshot (BSP); ``jacobi=False``
-    reads live values (Gauss-Seidel, the async schedule's limit case).
-    ``rng`` permutes each vertex's in-edge fold order when given.
-    """
-    read = values.copy() if jacobi else values
-    scratch = np.empty(1, dtype=values.dtype)
-    updates = 0
-    for v in range(graph.num_vertices):
-        local = scratch[0]
-        program.init_compute(local, read[v])
-        eidx = order[indptr[v]:indptr[v + 1]]
-        if rng is not None and len(eidx) > 1:
-            eidx = rng.permutation(eidx)
-        for e in eidx:
-            src = graph.src[e]
-            program.compute(
-                read[src],
-                None if statics is None else statics[src],
-                None if edges is None else edges[e],
-                local,
-            )
-        if program.update_condition(local, read[v]):
-            values[v] = local
-            updates += 1
-    return updates
-
-
-def _run_to_fixpoint(program, graph, values, statics, edges, indptr, order,
+def _run_to_fixpoint(program, graph, values, statics, edges,
                      *, jacobi: bool) -> bool:
     for _ in range(_FALSIFY_MAX_SWEEPS):
-        if _scalar_sweep(
-            program, graph, values, statics, edges, indptr, order,
-            jacobi=jacobi,
+        if vertex_sweep(
+            program, graph, values, statics, edges, jacobi=jacobi
         ) == 0:
             return True
     return False
@@ -1576,17 +1536,12 @@ def _falsify_identity(program, rng) -> tuple[str, str]:
 
 
 def _falsify_fold_order(program, rng) -> tuple[str, str]:
-    graph, values, statics, edges, indptr, order = _tiny_setup(program)
+    graph, values, statics, edges = _tiny_setup(program)
     baseline = values.copy()
-    _scalar_sweep(
-        program, graph, baseline, statics, edges, indptr, order, jacobi=True
-    )
+    vertex_sweep(program, graph, baseline, statics, edges)
     for trial in range(3):
         permuted = values.copy()
-        _scalar_sweep(
-            program, graph, permuted, statics, edges, indptr, order,
-            jacobi=True, rng=rng,
-        )
+        vertex_sweep(program, graph, permuted, statics, edges, rng=rng)
         if not _values_close(program, baseline, permuted):
             return (
                 REFUTED,
@@ -1597,15 +1552,13 @@ def _falsify_fold_order(program, rng) -> tuple[str, str]:
 
 
 def _falsify_monotone(program) -> tuple[str, str]:
-    graph, values, statics, edges, indptr, order = _tiny_setup(program)
+    graph, values, statics, edges = _tiny_setup(program)
     minmax = {
         f: op for f, op in program.reduce_ops.items() if op in ("min", "max")
     }
     for sweep in range(8):
         before = values.copy()
-        if _scalar_sweep(
-            program, graph, values, statics, edges, indptr, order, jacobi=True
-        ) == 0:
+        if vertex_sweep(program, graph, values, statics, edges) == 0:
             break
         for field, op in minmax.items():
             moved_up = values[field].astype(np.float64) > before[field].astype(
@@ -1663,19 +1616,16 @@ def _falsify_purity(program, rng) -> tuple[str, str]:
 
 
 def _falsify_frontier_safety(program) -> tuple[str, str]:
-    graph, values, statics, edges, indptr, order = _tiny_setup(program)
-    if not _run_to_fixpoint(
-        program, graph, values, statics, edges, indptr, order, jacobi=True
-    ):
+    graph, values, statics, edges = _tiny_setup(program)
+    if not _run_to_fixpoint(program, graph, values, statics, edges,
+                            jacobi=True):
         return (
             UNKNOWN,
             f"no fixpoint within {_FALSIFY_MAX_SWEEPS} sweeps on the "
             "falsification fixture",
         )
     before = values.copy()
-    updates = _scalar_sweep(
-        program, graph, values, statics, edges, indptr, order, jacobi=True
-    )
+    updates = vertex_sweep(program, graph, values, statics, edges)
     if updates != 0 or values.tobytes() != before.tobytes():
         return (
             REFUTED,
@@ -1686,14 +1636,14 @@ def _falsify_frontier_safety(program) -> tuple[str, str]:
 
 
 def _falsify_async_safety(program) -> tuple[str, str]:
-    graph, values, statics, edges, indptr, order = _tiny_setup(program)
+    graph, values, statics, edges = _tiny_setup(program)
     sync_vals = values.copy()
     async_vals = values.copy()
     ok_sync = _run_to_fixpoint(
-        program, graph, sync_vals, statics, edges, indptr, order, jacobi=True
+        program, graph, sync_vals, statics, edges, jacobi=True
     )
     ok_async = _run_to_fixpoint(
-        program, graph, async_vals, statics, edges, indptr, order, jacobi=False
+        program, graph, async_vals, statics, edges, jacobi=False
     )
     if not (ok_sync and ok_async):
         return (

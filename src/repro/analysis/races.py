@@ -12,14 +12,18 @@ disciplines no test previously checked:
    update a shared-memory atomic would lose or corrupt on the GPU.
 2. **Commutativity/associativity** — shard entries are folded in whatever
    order warps happen to run; ``compute`` must therefore commute.  The
-   detector re-runs the same iterations with a permuted edge order and
-   diffs the results (bit-exact for integer fields, tolerance-based for
-   floating fields, whose reductions legitimately reorder rounding).
+   detector re-runs the same iterations with each vertex's fold order
+   permuted and diffs the results (bit-exact for integer fields,
+   tolerance-based for floating fields, whose reductions legitimately
+   reorder rounding).
 
-Both checks execute the *scalar* device functions with instrumented record
-wrappers — a ThreadSanitizer-style shadow of the reference engine — and
-report findings as typed :class:`~repro.analysis.violations.Violation`
-records.  They are opt-in (``RunConfig(validate="full")`` or
+The checks run the scalar device functions through the executor of
+:mod:`repro.frameworks.scalar`: the stage and frontier checks run the
+reference engine's own :func:`~repro.frameworks.scalar.shard_sweep`, the
+stage check with instrumented record wrappers (a ThreadSanitizer-style
+shadow), and the order check runs
+:func:`~repro.frameworks.scalar.vertex_sweep`.  Findings are typed
+:class:`~repro.analysis.violations.Violation` records.  They are opt-in (``RunConfig(validate="full")`` or
 ``python -m repro check``) and cost O(|E|) Python per iteration, so run
 them on small graphs.
 """
@@ -29,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.violations import Violation
+from repro.frameworks.scalar import shard_sweep, vertex_sweep
 from repro.graph.digraph import DiGraph
 from repro.graph.shards import GShards
 from repro.vertexcentric.program import VertexProgram
@@ -63,6 +68,11 @@ class _DisciplineLog:
         self.stage = "init"
         self.violations: list[Violation] = []
         self._seen: set[tuple] = set()
+
+    def wrap(self, rec: dict, role: str, stage: str) -> _Tracked:
+        """``shard_sweep``'s record hook: track ``rec`` from ``stage`` on."""
+        self.stage = stage
+        return _Tracked(rec, role, role == "local", self)
 
     def _report(self, key: tuple, code: str, message: str) -> None:
         if key in self._seen:
@@ -125,15 +135,6 @@ class _DisciplineLog:
                 pass
 
 
-def _record(array: np.ndarray, i: int) -> dict:
-    return {name: array[name][i] for name in array.dtype.names}
-
-
-def _store(array: np.ndarray, i: int, rec: dict) -> None:
-    for name in array.dtype.names:
-        array[name][i] = rec[name]
-
-
 def stage_discipline_check(
     graph: DiGraph,
     program: VertexProgram,
@@ -145,98 +146,23 @@ def stage_discipline_check(
     records and report stage-discipline violations (``R201``/``R202``/
     ``R204``).
 
-    The execution mirrors :class:`~repro.frameworks.scalar.ScalarReferenceEngine`
-    stage for stage; convergence simply stops the instrumentation early.
+    The execution is :class:`~repro.frameworks.scalar.ScalarReferenceEngine`'s
+    own :func:`~repro.frameworks.scalar.shard_sweep`; convergence simply
+    stops the instrumentation early.
     """
     sh = GShards(graph, vertices_per_shard)
     log = _DisciplineLog(program)
-    vertex_values = program.initial_values(graph)
-    static_all = program.static_values(graph)
-    ev = program.edge_values(graph)
-    edge_vals = None if ev is None else ev[sh.edge_positions]
-    src_value = vertex_values[sh.src_index].copy()
-    src_static = None if static_all is None else static_all[sh.src_index]
-
-    for _iteration in range(max_iterations):
-        updated_total = 0
-        for i in range(sh.num_shards):
-            lo, hi = sh.vertex_range(i)
-            log.stage = "stage1-init"
-            locals_ = []
-            for v in range(lo, hi):
-                rec = _Tracked(_record(vertex_values, v), "vertex", False, log)
-                local = _Tracked(dict(rec), "local", True, log)
-                program.init_compute(local, rec)
-                locals_.append(local)
-            log.stage = "stage2-compute"
-            sl = sh.shard_slice(i)
-            for e in range(sl.start, sl.stop):
-                program.compute(
-                    _Tracked(_record(src_value, e), "vertex", False, log),
-                    None if src_static is None
-                    else _Tracked(_record(src_static, e), "static", False, log),
-                    None if edge_vals is None
-                    else _Tracked(_record(edge_vals, e), "edge", False, log),
-                    locals_[int(sh.dest_index[e]) - lo],
-                )
-            log.stage = "stage3-update"
-            shard_updated = False
-            for v in range(lo, hi):
-                rec = _Tracked(_record(vertex_values, v), "vertex", False, log)
-                local = locals_[v - lo]
-                local._writable = True  # stage 3 finalizes the local copy
-                log.stage = "stage3-update"
-                if program.update_condition(local, rec):
-                    _store(vertex_values, v, local)
-                    shard_updated = True
-                    updated_total += 1
-            if shard_updated:
-                for _j, start, stop in sh.windows_of(i):
-                    for e in range(start, stop):
-                        src_value[e] = vertex_values[int(sh.src_index[e])]
-        if updated_total == 0:
-            break
-    return log.violations
-
-
-def _run_supersteps(
-    graph: DiGraph,
-    program: VertexProgram,
-    edge_order: np.ndarray,
-    iterations: int,
-) -> np.ndarray:
-    """``iterations`` BSP supersteps folding edges in ``edge_order``."""
-    n = graph.num_vertices
     values = program.initial_values(graph)
     static_all = program.static_values(graph)
     ev = program.edge_values(graph)
-    src = graph.src
-    dst = graph.dst
-    for _ in range(iterations):
-        snapshot = values.copy()
-        locals_ = []
-        for v in range(n):
-            rec = _record(snapshot, v)
-            local = dict(rec)
-            program.init_compute(local, rec)
-            locals_.append(local)
-        for e in edge_order:
-            program.compute(
-                _record(snapshot, int(src[e])),
-                None if static_all is None
-                else _record(static_all, int(src[e])),
-                None if ev is None else _record(ev, int(e)),
-                locals_[int(dst[e])],
-            )
-        updated = 0
-        for v in range(n):
-            rec = _record(values, v)
-            if program.update_condition(locals_[v], rec):
-                _store(values, v, locals_[v])
-                updated += 1
-        if updated == 0:
+    edge_vals = None if ev is None else ev[sh.edge_positions]
+    src_value = values[sh.src_index].copy()
+    src_static = None if static_all is None else static_all[sh.src_index]
+    for _iteration in range(max_iterations):
+        if not shard_sweep(program, sh, values, src_value, src_static,
+                           edge_vals, wrap=log.wrap):
             break
-    return values
+    return log.violations
 
 
 def order_sensitivity_check(
@@ -248,8 +174,8 @@ def order_sensitivity_check(
     rtol: float = 1e-4,
     atol: float = 1e-5,
 ) -> list[Violation]:
-    """Re-run ``iterations`` supersteps with a permuted edge order and diff
-    the results (``R203``).
+    """Re-run ``iterations`` supersteps with each vertex's fold order
+    permuted and diff the results (``R203``).
 
     Integer vertex fields must match bit-exactly (``min``/``max``/integer
     ``add`` reductions are order-invariant); floating fields are compared
@@ -257,14 +183,18 @@ def order_sensitivity_check(
     reorders rounding.  A difference beyond that means ``compute`` is not
     commutative/associative — the property the paper's atomics require.
     """
-    m = graph.num_edges
-    baseline = _run_supersteps(
-        graph, program, np.arange(m, dtype=np.int64), iterations
-    )
-    rng = np.random.default_rng(permutation_seed)
-    permuted = _run_supersteps(
-        graph, program, rng.permutation(m).astype(np.int64), iterations
-    )
+    def supersteps(rng) -> np.ndarray:
+        values = program.initial_values(graph)
+        statics = program.static_values(graph)
+        edges = program.edge_values(graph)
+        for _ in range(iterations):
+            if not vertex_sweep(program, graph, values, statics, edges,
+                                rng=rng):
+                break
+        return values
+
+    baseline = supersteps(None)
+    permuted = supersteps(np.random.default_rng(permutation_seed))
     out: list[Violation] = []
     for name in baseline.dtype.names:
         a, b = baseline[name], permuted[name]
@@ -345,6 +275,7 @@ def frontier_discipline_check(
     static_all = program.static_values(graph)
     ev = program.edge_values(graph)
     edge_vals = None if ev is None else ev[sh.edge_positions]
+    src_static = None if static_all is None else static_all[sh.src_index]
     frontier = _InstrumentedFrontier(num_units, vertices_per_shard, indptr, targets)
     flush_pos = np.zeros(num_units, dtype=np.int64)  # BSP: one flush per sweep
 
@@ -353,38 +284,20 @@ def frontier_discipline_check(
         active = frontier.active(0, num_units)
         if not active.size:
             break
-        snapshot = values.copy()
+        src_value = values[sh.src_index]  # the BSP snapshot of this sweep
         updated: list[int] = []
         for i in active:
-            lo, hi = sh.vertex_range(int(i))
-            locals_ = []
-            for v in range(lo, hi):
-                rec = _record(snapshot, v)
-                local = dict(rec)
-                program.init_compute(local, rec)
-                locals_.append(local)
-            phase["value"] = "stage2-compute"
-            sl = sh.shard_slice(int(i))
-            for e in range(sl.start, sl.stop):
-                src = int(sh.src_index[e])
-                program.compute(
-                    _record(snapshot, src),
-                    None if static_all is None else _record(static_all, src),
-                    None if edge_vals is None else _record(edge_vals, e),
-                    locals_[int(sh.dest_index[e]) - lo],
-                )
-            phase["value"] = "stage3-update"
-            shard_updated = []
-            for v in range(lo, hi):
-                rec = _record(values, v)
-                if program.update_condition(locals_[v - lo], rec):
-                    _store(values, v, locals_[v - lo])
-                    shard_updated.append(v)
+            shard_updated = shard_sweep(
+                program, sh, values, src_value, src_static, edge_vals,
+                shards=(i,), writeback=False,
+            )
             if eager_mark and shard_updated:
-                # The simulated bug: per-shard marking before the flush.
+                # The simulated bug: per-shard marking at stage 3, before
+                # the flush.
+                phase["value"] = "stage3-update"
                 frontier.mark(np.asarray(shard_updated, dtype=np.int64))
+                phase["value"] = "sweep"
             updated.extend(shard_updated)
-            phase["value"] = "sweep"
         frontier.clear(active)
         phase["value"] = "flush"
         upd = np.asarray(updated, dtype=np.int64)

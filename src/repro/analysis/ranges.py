@@ -81,6 +81,7 @@ from repro.analysis.certify import (
     program_fingerprint,
 )
 from repro.analysis.violations import Violation
+from repro.frameworks.scalar import vertex_sweep
 
 __all__ = [
     "RANGE_CHECK_CODES",
@@ -1462,8 +1463,7 @@ class _Analysis:
         """Drive the scalar kernels on the tiny falsifier fixture and
         compare observed sweeps against the bound recomputed for it."""
         try:
-            graph, values, statics, edges, indptr, order = \
-                _c._tiny_setup(self.program)
+            graph, values, statics, edges = _c._tiny_setup(self.program)
         except Exception as exc:
             return None, f"cross-check skipped ({exc!r})"
         tiny_bound = bound_fn(graph.num_vertices)
@@ -1471,9 +1471,8 @@ class _Analysis:
         observed = None
         with np.errstate(all="ignore"):
             for sweep in range(budget):
-                if _c._scalar_sweep(
-                    self.program, graph, values, statics, edges, indptr,
-                    order, jacobi=True,
+                if vertex_sweep(
+                    self.program, graph, values, statics, edges
                 ) == 0:
                     observed = sweep + 1
                     break
@@ -1551,7 +1550,7 @@ class _Analysis:
 def _observe_sweeps(program, *, track_nonfinite: bool = False):
     """Run the scalar kernels on the tiny fixture, recording per-field
     observed hulls; returns (hulls, saw_nonfinite, quiesced)."""
-    graph, values, statics, edges, indptr, order = _c._tiny_setup(program)
+    graph, values, statics, edges = _c._tiny_setup(program)
     hulls: dict[str, FieldRange] = {}
     saw_nonfinite = False
     quiesced = False
@@ -1576,10 +1575,7 @@ def _observe_sweeps(program, *, track_nonfinite: bool = False):
     with np.errstate(all="ignore"):
         saw_nonfinite |= record()
         for _sweep in range(_c._FALSIFY_MAX_SWEEPS):
-            updates = _c._scalar_sweep(
-                program, graph, values, statics, edges, indptr, order,
-                jacobi=True,
-            )
+            updates = vertex_sweep(program, graph, values, statics, edges)
             saw_nonfinite |= record()
             if updates == 0:
                 quiesced = True
