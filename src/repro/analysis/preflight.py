@@ -10,9 +10,11 @@
     representation cache its run uses, so the build cost is shared).
 ``"full"``
     Additionally run the simulated-race detector — a bounded number of
-    instrumented reference iterations plus one permuted-edge-order diff.
+    instrumented reference iterations plus one permuted-fold-order diff.
     This executes the scalar device functions edge by edge in Python, so
     it is intended for small graphs (tests, CI gates, ``repro check``).
+    Its verdicts are cached per graph, weights and program, like the
+    kernel certificates.
 ``"perf"``
     The ``"structure"`` checks plus the static performance auditor
     (:mod:`repro.analysis.perf`): cost-contract, occupancy, write-back,
@@ -47,14 +49,7 @@ def collect_violations(engine, graph, program, config) -> list[Violation]:
     for rep in engine.preflight_representations(graph, program, config):
         out.extend(validate_structure(rep))
     if config.validate == "full":
-        out.extend(
-            stage_discipline_check(
-                graph, program, max_iterations=_RACE_ITERATIONS
-            )
-        )
-        out.extend(
-            order_sensitivity_check(graph, program, iterations=_RACE_ITERATIONS)
-        )
+        out.extend(_race_violations(engine, graph, program))
     if config.validate == "perf":
         # Imported here: the perf auditor pulls in the engine layer, which
         # the lint/invariant levels do not need.
@@ -84,6 +79,30 @@ def collect_violations(engine, graph, program, config) -> list[Violation]:
             )
         )
     return out
+
+
+def _race_violations(engine, graph, program) -> list[Violation]:
+    """The stage-discipline and order-sensitivity verdicts.
+
+    They are cached like the kernel certificates, in the engine's
+    representation cache, so a supervised run checks once rather than once
+    per segment.  The key covers the graph structure, its weights and the
+    program fingerprint; ``cache=False`` re-runs the checks every time.
+    """
+    from repro.analysis.certify import program_fingerprint
+    from repro.cache import (cached, graph_fingerprint, resolve_cache,
+                             weights_digest)
+
+    key = ("races", graph_fingerprint(graph), weights_digest(graph),
+           program_fingerprint(program))
+    return cached(
+        resolve_cache(getattr(engine, "cache", None)), key,
+        lambda: stage_discipline_check(
+            graph, program, max_iterations=_RACE_ITERATIONS
+        ) + order_sensitivity_check(
+            graph, program, iterations=_RACE_ITERATIONS
+        ),
+    )
 
 
 def publish_violations(metrics, violations: list[Violation]) -> None:

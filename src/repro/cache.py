@@ -58,6 +58,7 @@ import numpy as np
 __all__ = [
     "RepresentationCache",
     "graph_fingerprint",
+    "weights_digest",
     "default_cache",
     "resolve_cache",
     "cached",
@@ -75,6 +76,19 @@ def graph_fingerprint(graph) -> str:
     h.update(np.int64(graph.num_vertices).tobytes())
     h.update(np.ascontiguousarray(graph.src).tobytes())
     h.update(np.ascontiguousarray(graph.dst).tobytes())
+    return h.hexdigest()
+
+
+def weights_digest(graph) -> str:
+    """Content hash of the weights array (``"unweighted"`` when absent).
+
+    Complements the structural :func:`graph_fingerprint`, which
+    deliberately ignores weights.
+    """
+    if graph.weights is None:
+        return "unweighted"
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.ascontiguousarray(graph.weights).tobytes())
     return h.hexdigest()
 
 

@@ -42,11 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import hashlib
-
 import numpy as np
 
-from repro.cache import graph_fingerprint
+from repro.cache import graph_fingerprint, weights_digest
 from repro.frameworks.base import RunConfig, RunResult
 from repro.graph.digraph import DiGraph
 from repro.vertexcentric.datatypes import UINT_INF
@@ -118,19 +116,6 @@ TRAVERSAL_SPECS: dict[str, TraversalSpec] = {
 def batchable(program_name: str) -> bool:
     """Can queries of this program be coalesced into a multi-source run?"""
     return program_name in TRAVERSAL_SPECS
-
-
-def weights_digest(graph: DiGraph) -> str:
-    """Content hash of the weights array (``"unweighted"`` when absent).
-
-    Complements the structural :func:`~repro.cache.graph_fingerprint`,
-    which deliberately ignores weights.
-    """
-    if graph.weights is None:
-        return "unweighted"
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.ascontiguousarray(graph.weights).tobytes())
-    return h.hexdigest()
 
 
 def _config_key(config: RunConfig) -> tuple:

@@ -4,6 +4,7 @@ supervisor's recovery behavior for every fault class."""
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -492,6 +493,30 @@ class TestResilientRunner:
         program = BROKEN_PROGRAMS["undeclared-write"].factory()
         with pytest.raises(ValidationError):
             ResilientRunner("cusha-cw").run(g, program, validate="structure")
+
+    def test_full_validation_checks_races_once(self, monkeypatch):
+        # Every segment re-runs the preflight; the race verdicts come from
+        # the engine's cache after the first.
+        preflight = sys.modules["repro.analysis.preflight"]
+        calls = {"segments": 0, "stage": 0, "order": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(preflight, fn.__name__, wrapper)
+
+        counting("segments", preflight.collect_violations)
+        counting("stage", preflight.stage_discipline_check)
+        counting("order", preflight.order_sensitivity_check)
+        g = rmat(256, 1024, seed=0)
+        program = make_program("bfs", g)
+        plain = make_engine("cusha-cw").run(g, program)
+        out = ResilientRunner(
+            "cusha-cw", checkpoint_every=1, cache=RepresentationCache()
+        ).run(g, program, validate="full")
+        assert calls == {"segments": 6, "stage": 1, "order": 1}
+        assert out.values.tobytes() == plain.values.tobytes()
 
     def test_telemetry_spans_and_metrics(self):
         g, program, _ = self._golden()
