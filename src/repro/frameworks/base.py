@@ -150,9 +150,11 @@ _INVALID_COMBOS: tuple[tuple[str, Callable, str], ...] = (
      "max_iterations must be >= 1"),
     ("resume",
      lambda c: c.resume is not None and (
-         _not_integer(getattr(c.resume, "iteration", None))
+         getattr(c.resume, "values", None) is None
+         or _not_integer(getattr(c.resume, "iteration", None))
          or not 0 <= c.resume.iteration < c.max_iterations),
-     "resume.iteration must be an integer in [0, max_iterations)"),
+     "resume must carry values and an integer iteration in "
+     "[0, max_iterations)"),
     ("certify",
      lambda c: c.certify == "enforce" and c.validate == "off",
      "certify='enforce' requires validate != 'off' (the certificate "

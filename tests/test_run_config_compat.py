@@ -99,6 +99,11 @@ class TestResumeAndIterationRules:
             RunConfig(resume=resume)
         assert exc.value.knob == "resume"
 
+    def test_checkpoint_without_values_refused(self):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(resume=Checkpoint(2, None, ""))
+        assert exc.value.knob == "resume"
+
     @pytest.mark.parametrize("frontier", ["sparse", "auto"])
     def test_valid_warm_start_constructs(self, frontier):
         resume = Checkpoint.of(2, VALUES, MASK)
