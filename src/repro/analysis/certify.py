@@ -66,6 +66,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from repro.analysis.lint import NONDET_ROOTS
 from repro.analysis.violations import CODES, Violation
 from repro.errors import CertificationError
 from repro.frameworks.scalar import vertex_sweep
@@ -1196,9 +1197,6 @@ def _check_monotone(
     )
 
 
-_NONDET_ROOTS = {"random", "time", "datetime", "secrets", "uuid", "os"}
-
-
 def _dotted_name(node) -> str | None:
     parts = []
     while isinstance(node, ast.Attribute):
@@ -1245,7 +1243,7 @@ def _check_purity(program) -> CheckResult:
             if isinstance(node, (ast.Name, ast.Attribute)):
                 dotted = _dotted_name(node)
                 if dotted and (
-                    dotted.split(".")[0] in _NONDET_ROOTS
+                    dotted.split(".")[0] in NONDET_ROOTS
                     or ".random" in dotted
                 ):
                     return CheckResult(

@@ -15,7 +15,7 @@ arguments.  This linter makes it machine-checked:
   ``messages`` must emit exactly the fields ``compute`` reduces, and an
   overridden ``init_local`` must only initialize fields ``init_compute``
   initializes — ``L004``;
-- nondeterminism sources (``random``, ``time``, ``datetime``,
+- nondeterminism sources (the :data:`NONDET_ROOTS` modules and
   ``np.random``) are flagged inside device functions — ``L005`` (warning);
 - the read-only records (``src_v``, ``src_static``, ``edge``, the current
   value ``v``) must never be written — ``L006``;
@@ -42,10 +42,13 @@ import numpy as np
 from repro.analysis.violations import Violation
 from repro.vertexcentric.program import VertexProgram
 
-__all__ = ["lint_program"]
+__all__ = ["NONDET_ROOTS", "lint_program"]
 
 _VALID_REDUCE_OPS = frozenset({"min", "max", "add"})
-_NONDET_NAMES = frozenset({"random", "time", "datetime"})
+
+#: Modules whose use makes a kernel nondeterministic: lint ``L005`` flags
+#: them and the kernel certifier's ``C404`` refutes purity on them.
+NONDET_ROOTS = frozenset({"random", "time", "datetime", "secrets", "uuid", "os"})
 
 #: scalar device functions and the role of each positional parameter
 #: (``self`` excluded).  Roles: ``local`` = writable vertex-local record;
@@ -127,7 +130,7 @@ class _AccessCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load) and node.id in _NONDET_NAMES:
+        if isinstance(node.ctx, ast.Load) and node.id in NONDET_ROOTS:
             self.nondet.append((node.id, node.lineno))
         self.generic_visit(node)
 

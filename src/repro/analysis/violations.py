@@ -86,7 +86,8 @@ CODES: dict[str, tuple[str, str]] = {
     "L005": (
         "nondeterminism",
         "a device function references a nondeterminism source (random, "
-        "time, datetime), breaking run-to-run reproducibility",
+        "time, datetime, secrets, uuid, os), breaking run-to-run "
+        "reproducibility",
     ),
     "L006": (
         "readonly-mutation",

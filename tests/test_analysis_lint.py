@@ -1,11 +1,15 @@
 """Program-linter tests: bundled programs are clean, every broken fixture
 fires exactly the rule it targets (:mod:`repro.analysis.lint`)."""
 
+import secrets
+import uuid
+
 import pytest
 
 from repro.algorithms import PROGRAM_NAMES, make_program
 from repro.analysis import CODES, describe, lint_program
-from repro.analysis.fixtures import BROKEN_PROGRAMS
+from repro.analysis.certify import certify_program
+from repro.analysis.fixtures import BROKEN_PROGRAMS, NondetProgram
 from repro.analysis.violations import ValidationError, Violation
 from repro.graph.generators import random_weights, rmat
 
@@ -49,6 +53,29 @@ class TestBrokenFixturesFire:
         spec = BROKEN_PROGRAMS["missing-decl"]
         violations = [v for v in lint_program(spec.factory()) if v.code == "L007"]
         assert len(violations) == 2  # one for name, one for reduce_ops
+
+    def test_nondeterminism_roots_match_certify(self):
+        # L005 reads the same module table C404 refutes on, in the
+        # scalar device functions and the vectorized kernels alike.
+        class SecretsCompute(NondetProgram):
+            def compute(self, src_v, src_static, edge, local_v):
+                local_v["level"] = min(local_v["level"],
+                                       src_v["level"] + secrets.randbits(8))
+
+        class UuidMessages(NondetProgram):
+            def compute(self, src_v, src_static, edge, local_v):
+                local_v["level"] = min(local_v["level"], src_v["level"] + 1)
+
+            def messages(self, src_vals, src_static, edge_vals, dest_old):
+                tag = uuid.uuid4().int & 0
+                return {"level": src_vals["level"] + 1 + tag}, None
+
+        for program, root in ((SecretsCompute(), "secrets"),
+                              (UuidMessages(), "uuid")):
+            l005 = [v for v in lint_program(program) if v.code == "L005"]
+            assert [root in v.message for v in l005] == [True], l005
+            assert certify_program(program, cache=False).result(
+                "C404").status == "REFUTED"
 
     def test_violations_carry_location(self):
         spec = LINT_FIXTURES["undeclared-write"]
