@@ -1,11 +1,15 @@
 """Deliberately broken fixtures proving every analysis rule fires.
 
-Two registries back the test suite and ``python -m repro check --selftest``:
+These registries back the test suite and ``python -m repro check --selftest``:
 
 - :data:`BROKEN_PROGRAMS` — minimal :class:`VertexProgram` subclasses, each
   violating one contract rule the linter or race detector must catch.
 - :data:`CORRUPTIONS` — in-place corruptions of freshly built
   representations, each breaking exactly one structural invariant.
+- :data:`PERF_FIXTURES`, :data:`RESILIENCE_FIXTURES`,
+  :data:`CERTIFY_FIXTURES` and :data:`RANGES_FIXTURES` — one
+  :class:`Fixture` each per performance-contract breakage, injected fault,
+  broken algebraic contract and refutable range certificate.
 
 Every entry records the rule it targets (``expect``) plus the full set of
 codes the corruption legitimately fires (``allowed``) — some breakages
@@ -37,11 +41,8 @@ __all__ = [
     "RANGES_FIXTURES",
     "RESILIENCE_FIXTURES",
     "BrokenProgram",
-    "CertifyFixture",
     "Corruption",
-    "PerfFixture",
-    "RangesFixture",
-    "ResilienceFixture",
+    "Fixture",
     "build_corrupted",
     "fixture_graph",
     "perf_fixture_graph",
@@ -54,6 +55,20 @@ def fixture_graph(num_vertices: int = 24, num_edges: int = 96) -> DiGraph:
     src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
     dst = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
     return DiGraph(src, dst, num_vertices, validate=False)
+
+
+@dataclass(frozen=True)
+class Fixture:
+    """One breakage and the code it must fire.
+
+    ``run`` reproduces the breakage and returns the violations it raised;
+    their codes must include ``expect`` and stay within ``allowed``.  The
+    perf, resilience, certify and ranges registries share this record.
+    """
+
+    expect: str
+    allowed: frozenset[str]
+    run: Callable[[], list]
 
 
 # ----------------------------------------------------------------------
@@ -514,29 +529,20 @@ def _perf_swapped_writeback() -> list:
         perf.cusha_static_bundle = real
 
 
-@dataclass(frozen=True)
-class PerfFixture:
-    """One performance-contract breakage and the P-code it must trip."""
-
-    expect: str
-    allowed: frozenset[str]
-    run: Callable[[], list]
-
-
-PERF_FIXTURES: dict[str, PerfFixture] = {
-    "perf-scrambled-mapper": PerfFixture(
+PERF_FIXTURES: dict[str, Fixture] = {
+    "perf-scrambled-mapper": Fixture(
         "P307", frozenset({"P307"}), _perf_scrambled_mapper
     ),
-    "perf-oversized-shard": PerfFixture(
+    "perf-oversized-shard": Fixture(
         "P302", frozenset({"P302"}), _perf_oversized_shard
     ),
-    "perf-mispriced-cost": PerfFixture(
+    "perf-mispriced-cost": Fixture(
         "P310", frozenset({"P310"}), _perf_mispriced_cost
     ),
-    "perf-bank-conflicts": PerfFixture(
+    "perf-bank-conflicts": Fixture(
         "P305", frozenset({"P305"}), _perf_bank_conflicts
     ),
-    "perf-swapped-writeback": PerfFixture(
+    "perf-swapped-writeback": Fixture(
         "P308", frozenset({"P308"}), _perf_swapped_writeback
     ),
 }
@@ -622,35 +628,26 @@ def _res_unrecovered() -> list:
     )
 
 
-@dataclass(frozen=True)
-class ResilienceFixture:
-    """One injected fault and the detection/recovery code it must fire."""
-
-    expect: str
-    allowed: frozenset[str]
-    run: Callable[[], list]
-
-
-RESILIENCE_FIXTURES: dict[str, ResilienceFixture] = {
-    "resilience-transfer": ResilienceFixture(
+RESILIENCE_FIXTURES: dict[str, Fixture] = {
+    "resilience-transfer": Fixture(
         "R301", frozenset({"R301", "F401"}), _res_transfer
     ),
-    "resilience-kernel-abort": ResilienceFixture(
+    "resilience-kernel-abort": Fixture(
         "F402", frozenset({"R302", "F402"}), _res_kernel_abort
     ),
-    "resilience-values-bitflip": ResilienceFixture(
+    "resilience-values-bitflip": Fixture(
         "R303", frozenset({"R303", "F402"}), _res_values_bitflip
     ),
-    "resilience-rep-bitflip": ResilienceFixture(
+    "resilience-rep-bitflip": Fixture(
         "R304", frozenset({"R304", "F403", "S122"}), _res_rep_bitflip
     ),
-    "resilience-oom-degrades": ResilienceFixture(
+    "resilience-oom-degrades": Fixture(
         "F405", frozenset({"R306", "F404", "F405"}), _res_oom
     ),
-    "resilience-ckpt-mismatch": ResilienceFixture(
+    "resilience-ckpt-mismatch": Fixture(
         "R305", frozenset({"R305"}), _res_ckpt_mismatch
     ),
-    "resilience-unrecovered": ResilienceFixture(
+    "resilience-unrecovered": Fixture(
         "F406", frozenset({"R302", "F402", "F404", "F405", "F406"}),
         _res_unrecovered,
     ),
@@ -838,38 +835,29 @@ def _certify_degraded() -> list:
     return out
 
 
-@dataclass(frozen=True)
-class CertifyFixture:
-    """One broken algebraic contract and the code it must fire."""
-
-    expect: str
-    allowed: frozenset[str]
-    run: Callable[[], list]
-
-
-CERTIFY_FIXTURES: dict[str, CertifyFixture] = {
-    "certify-leaky-guard": CertifyFixture(
+CERTIFY_FIXTURES: dict[str, Fixture] = {
+    "certify-leaky-guard": Fixture(
         "C401", frozenset({"C401"}), _certify_codes(LeakyGuardProgram)
     ),
-    "certify-last-writer-wins": CertifyFixture(
+    "certify-last-writer-wins": Fixture(
         "C402", frozenset({"C402"}), _certify_codes(LastWriterWinsProgram)
     ),
-    "certify-wrong-direction": CertifyFixture(
+    "certify-wrong-direction": Fixture(
         "C403", frozenset({"C403"}), _certify_codes(WrongDirectionProgram)
     ),
-    "certify-stateful-apply": CertifyFixture(
+    "certify-stateful-apply": Fixture(
         "C404", frozenset({"C404"}), _certify_codes(StatefulApplyProgram)
     ),
-    "certify-slippery-quiescence": CertifyFixture(
+    "certify-slippery-quiescence": Fixture(
         "C405", frozenset({"C405"}), _certify_codes(SlipperyQuiescenceProgram)
     ),
-    "certify-stale-read": CertifyFixture(
+    "certify-stale-read": Fixture(
         "C406", frozenset({"C406"}), _certify_codes(StaleReadProgram)
     ),
-    "certify-eager-mark": CertifyFixture(
+    "certify-eager-mark": Fixture(
         "R205", frozenset({"R205"}), _certify_eager_mark
     ),
-    "certify-degraded": CertifyFixture(
+    "certify-degraded": Fixture(
         "F407", frozenset({"F407"}), _certify_degraded
     ),
 }
@@ -955,29 +943,20 @@ def _ranges_codes(factory: Callable[[], VertexProgram]) -> Callable[[], list]:
     return run
 
 
-@dataclass(frozen=True)
-class RangesFixture:
-    """One refutable range certificate and the code it must fire."""
-
-    expect: str
-    allowed: frozenset[str]
-    run: Callable[[], list]
-
-
-RANGES_FIXTURES: dict[str, RangesFixture] = {
-    "ranges-uint8-overflow": RangesFixture(
+RANGES_FIXTURES: dict[str, Fixture] = {
+    "ranges-uint8-overflow": Fixture(
         "W501", frozenset({"W501", "W504"}),
         _ranges_codes(Uint8OverflowProgram),
     ),
-    "ranges-zero-denominator": RangesFixture(
+    "ranges-zero-denominator": Fixture(
         "W502", frozenset({"W501", "W502", "W503", "W504"}),
         _ranges_codes(ZeroDenominatorProgram),
     ),
-    "ranges-never-quiesces": RangesFixture(
+    "ranges-never-quiesces": Fixture(
         "W503", frozenset({"W503"}),
         _ranges_codes(NeverQuiescesProgram),
     ),
-    "ranges-escaped-bounds": RangesFixture(
+    "ranges-escaped-bounds": Fixture(
         "W504", frozenset({"W504"}),
         _ranges_codes(EscapedBoundsProgram),
     ),

@@ -702,48 +702,23 @@ def _check_selftest(echo=print):
               {v.code for v in validate_structure(rep)})
     for name, pf in PERF_FIXTURES.items():
         judge(name, pf.expect, pf.allowed, {v.code for v in pf.run()})
-    for name, rf in RESILIENCE_FIXTURES.items():
-        codes = [v.code for v in rf.run()]
-        judge(name, rf.expect, rf.allowed, set(codes))
-        if codes.count(rf.expect) != 1:
+    # These fixtures must also fire their expected code exactly once.
+    once = {**RESILIENCE_FIXTURES, **CERTIFY_FIXTURES, **RANGES_FIXTURES}
+    for name, fx in once.items():
+        codes = [v.code for v in fx.run()]
+        judge(name, fx.expect, fx.allowed, set(codes))
+        if codes.count(fx.expect) != 1:
             failed += 1
             failures.append({
-                "fixture": name, "expected": rf.expect,
+                "fixture": name, "expected": fx.expect,
                 "fired": sorted(codes),
-                "error": f"expected exactly one {rf.expect}, "
-                         f"got {codes.count(rf.expect)}",
+                "error": f"expected exactly one {fx.expect}, "
+                         f"got {codes.count(fx.expect)}",
             })
-            echo(f"  selftest FAIL {name}: {rf.expect} fired "
-                 f"{codes.count(rf.expect)} times (want exactly 1)")
-    for name, cf in CERTIFY_FIXTURES.items():
-        codes = [v.code for v in cf.run()]
-        judge(name, cf.expect, cf.allowed, set(codes))
-        if codes.count(cf.expect) != 1:
-            failed += 1
-            failures.append({
-                "fixture": name, "expected": cf.expect,
-                "fired": sorted(codes),
-                "error": f"expected exactly one {cf.expect}, "
-                         f"got {codes.count(cf.expect)}",
-            })
-            echo(f"  selftest FAIL {name}: {cf.expect} fired "
-                 f"{codes.count(cf.expect)} times (want exactly 1)")
-    for name, wf in RANGES_FIXTURES.items():
-        codes = [v.code for v in wf.run()]
-        judge(name, wf.expect, wf.allowed, set(codes))
-        if codes.count(wf.expect) != 1:
-            failed += 1
-            failures.append({
-                "fixture": name, "expected": wf.expect,
-                "fired": sorted(codes),
-                "error": f"expected exactly one {wf.expect}, "
-                         f"got {codes.count(wf.expect)}",
-            })
-            echo(f"  selftest FAIL {name}: {wf.expect} fired "
-                 f"{codes.count(wf.expect)} times (want exactly 1)")
+            echo(f"  selftest FAIL {name}: {fx.expect} fired "
+                 f"{codes.count(fx.expect)} times (want exactly 1)")
     total = (len(BROKEN_PROGRAMS) + len(CORRUPTIONS) + len(PERF_FIXTURES)
-             + len(RESILIENCE_FIXTURES) + len(CERTIFY_FIXTURES)
-             + len(RANGES_FIXTURES))
+             + len(once))
     return failed, total, fired_total, failures
 
 
