@@ -23,9 +23,9 @@ reference engine's own :func:`~repro.frameworks.scalar.shard_sweep`, the
 stage check with instrumented record wrappers (a ThreadSanitizer-style
 shadow), and the order check runs
 :func:`~repro.frameworks.scalar.vertex_sweep`.  Findings are typed
-:class:`~repro.analysis.violations.Violation` records.  They are opt-in (``RunConfig(validate="full")`` or
-``python -m repro check``) and cost O(|E|) Python per iteration, so run
-them on small graphs.
+:class:`~repro.analysis.violations.Violation` records.  The checks are
+opt-in (``RunConfig(validate="full")`` or ``python -m repro check``) and
+cost O(|E|) Python per iteration, so run them on small graphs.
 """
 
 from __future__ import annotations
