@@ -16,7 +16,7 @@ the same graph:
   falsifiers, the range cross-checks and the race detector's
   order-sensitivity check run it.
 
-Both hand the device functions the same :func:`record` dicts.  The engine
+Both hand the device functions the same mutable dict records.  The engine
 is deliberately slow and simple: its only job is to be an independent
 oracle.  Tests assert the vectorized engines produce identical values on
 randomized graphs, which pins the vectorized kernels to the paper's
@@ -35,16 +35,15 @@ from repro.graph.shards import GShards
 from repro.gpu.stats import KernelStats
 from repro.vertexcentric.program import VertexProgram
 
-__all__ = ["ScalarReferenceEngine", "record", "store", "shard_sweep",
-           "vertex_sweep"]
+__all__ = ["ScalarReferenceEngine", "shard_sweep", "vertex_sweep"]
 
 
-def record(array: np.ndarray, i: int) -> dict:
+def _record(array: np.ndarray, i: int) -> dict:
     """Mutable dict view of structured-array element ``i``."""
     return {name: array[name][i] for name in array.dtype.names}
 
 
-def store(array: np.ndarray, i: int, rec: dict) -> None:
+def _store(array: np.ndarray, i: int, rec: dict) -> None:
     """Write the fields of ``rec`` into structured-array element ``i``."""
     for name in array.dtype.names:
         array[name][i] = rec[name]
@@ -86,7 +85,7 @@ def shard_sweep(
         # Stage 1: init local vertices from VertexValues.
         locals_ = []
         for v in range(lo, hi):
-            rec = wrap(record(values, v), "vertex", "stage1-init")
+            rec = wrap(_record(values, v), "vertex", "stage1-init")
             local = wrap(dict(rec), "local", "stage1-init")
             program.init_compute(local, rec)
             locals_.append(local)
@@ -94,19 +93,19 @@ def shard_sweep(
         sl = sh.shard_slice(i)
         for e in range(sl.start, sl.stop):
             program.compute(
-                wrap(record(src_value, e), "vertex", "stage2-compute"),
+                wrap(_record(src_value, e), "vertex", "stage2-compute"),
                 None if src_static is None
-                else wrap(record(src_static, e), "static", "stage2-compute"),
+                else wrap(_record(src_static, e), "static", "stage2-compute"),
                 None if edge_vals is None
-                else wrap(record(edge_vals, e), "edge", "stage2-compute"),
+                else wrap(_record(edge_vals, e), "edge", "stage2-compute"),
                 locals_[int(sh.dest_index[e]) - lo],
             )
         # Stage 3: conditional write-back to VertexValues.
         shard_updated = False
         for v in range(lo, hi):
-            rec = wrap(record(values, v), "vertex", "stage3-update")
+            rec = wrap(_record(values, v), "vertex", "stage3-update")
             if program.update_condition(locals_[v - lo], rec):
-                store(values, v, locals_[v - lo])
+                _store(values, v, locals_[v - lo])
                 updated.append(v)
                 shard_updated = True
         # Stage 4: propagate into every window sourced from shard i.
@@ -141,7 +140,7 @@ def vertex_sweep(
     np.cumsum(graph.in_degrees(), out=indptr[1:])
     updates = 0
     for v in range(graph.num_vertices):
-        rec = record(read, v)
+        rec = _record(read, v)
         local = dict(rec)
         program.init_compute(local, rec)
         eidx = order[indptr[v]:indptr[v + 1]]
@@ -150,13 +149,13 @@ def vertex_sweep(
         for e in eidx:
             src = int(graph.src[e])
             program.compute(
-                record(read, src),
-                None if statics is None else record(statics, src),
-                None if edges is None else record(edges, int(e)),
+                _record(read, src),
+                None if statics is None else _record(statics, src),
+                None if edges is None else _record(edges, int(e)),
                 local,
             )
-        if program.update_condition(local, record(read, v)):
-            store(values, v, local)
+        if program.update_condition(local, _record(read, v)):
+            _store(values, v, local)
             updates += 1
     return updates
 
