@@ -35,6 +35,7 @@ SETTINGS = (
     ("sssp", {"frontier": "sparse"}, {}),
     ("sssp", {"frontier": "auto"}, {}),
     ("sssp", {"frontier": "auto", "devices": 2}, {}),
+    ("sssp", {"frontier": "sparse", "devices": 2}, {}),
     ("pr", {"frontier": "off", "devices": 2}, {}),
 )
 
