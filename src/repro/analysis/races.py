@@ -276,8 +276,10 @@ def frontier_discipline_check(
     ev = program.edge_values(graph)
     edge_vals = None if ev is None else ev[sh.edge_positions]
     src_static = None if static_all is None else static_all[sh.src_index]
-    frontier = _InstrumentedFrontier(num_units, vertices_per_shard, indptr, targets)
     flush_pos = np.zeros(num_units, dtype=np.int64)  # BSP: one flush per sweep
+    frontier = _InstrumentedFrontier(n, vertices_per_shard,
+                                     np.diff(sh.shard_offsets), flush_pos,
+                                     indptr, targets)
 
     for _iteration in range(max_iterations):
         phase["value"] = "sweep"

@@ -354,7 +354,10 @@ class CuShaEngine(Engine):
         Blocks CuSha aims to co-locate per SM when auto-selecting ``|N|``
         (the paper's example uses 2).
     sync_mode:
-        ``"async"`` (paper) or ``"bsp"`` (ablation); see module docstring.
+        The shard schedule: ``"wave"`` (default; write-backs visible at
+        the boundaries of waves of resident blocks, as on a real grid),
+        ``"async"`` (visible at once) or ``"bsp"`` (visible at the
+        iteration boundary); see module docstring.
     cache:
         ``None`` (default) memoizes representations and static stats in the
         process-wide :func:`repro.cache.default_cache`; ``False`` disables
@@ -506,7 +509,6 @@ class CuShaEngine(Engine):
         self, graph: DiGraph, program: VertexProgram, config: RunConfig
     ) -> SweepPlan:
         trace_on = config.tracer.enabled
-        frontier_on = config.frontier != "off"
         vbytes = program.vertex_value_bytes
         warp = self.spec.warp_size
         cache = resolve_cache(self.cache)
@@ -551,7 +553,7 @@ class CuShaEngine(Engine):
         run_rows = np.zeros((4, len(STAT_FIELDS)), dtype=np.float64)
 
         def sweeps(it: SweepContext) -> Iterator[SweepStep]:
-            frontier, track, mdr = it.frontier, it.track, it.mdr
+            track, mdr = it.track, it.mdr
             while True:
                 push = it.push
                 active_vertices = 0
@@ -563,31 +565,24 @@ class CuShaEngine(Engine):
                 acts = [_EMPTY_SHARDS] if push else [all_shards]
                 updated = [_EMPTY_SHARDS]
                 for a, b, vlo, vhi, eo, ee, dest_local in waves:
+                    act = it.take(a, b)
                     sparse = False
                     if push:
-                        act = frontier.active(a, b)
-                        frontier.shards_skipped += (b - a) - act.size
                         if act.size == 0:
                             continue
-                        frontier.clear(act)
                         acts.append(act)
                         sparse = act.size < b - a
                         rows[:3] += static[act if sparse else slice(a, b)].sum(
                             axis=0)
-                    elif frontier_on:  # pull: dense sweep, clear everything
-                        frontier.dirty[a:b] = False
                     if sparse:
                         v_idx, e_idx, dest_sub, _ = pack_shards(
                             act, N, n, sh.shard_offsets, dest_global
                         )
-                        frontier.edges_processed += int(e_idx.size)
                         ops, changed, _, pos, new = wave_kernel(
                             program, vertex_values, entries, v_idx, e_idx,
                             dest_sub, track,
                         )
                     else:
-                        if frontier_on:
-                            frontier.edges_processed += ee - eo
                         ops, changed, _, pos, new = wave_kernel(
                             program, vertex_values, entries, slice(vlo, vhi),
                             slice(eo, ee), dest_local, track,
@@ -602,9 +597,7 @@ class CuShaEngine(Engine):
                         idx = v_idx[pos] if sparse else vlo + pos
                         vertex_values[idx] = new
                         updated.append(idx)
-                        if frontier_on:
-                            it.last_mask[idx] = True
-                            frontier.mark(idx)
+                        it.mark(idx)
                 # The waves ascend and so do the ids within each wave, so
                 # the iteration's updated ids are sorted by shard: one
                 # segmented call prices every store, each shard's stores in
@@ -619,13 +612,10 @@ class CuShaEngine(Engine):
                     transaction_bytes=STORE_GRANULARITY_BYTES)
                 rows[2, STORE_COLUMNS] += (store.transactions,
                                            store.bytes_requested)
-                processed = np.concatenate(acts)
                 if self.always_writeback:
-                    written = processed
+                    written = np.concatenate(acts)
                 rows[3] = stage4[written].sum(axis=0)
                 if mdr is not None:
-                    if push:
-                        mdr.note_processed(processed)
                     mdr.note_updated(written)
                 run_rows[:] += rows
                 iter_stats = stats_from_row(rows.sum(axis=0))
@@ -638,7 +628,6 @@ class CuShaEngine(Engine):
                     int(idx.size),
                     iter_stats,
                     self.cost_model.time_ms(iter_stats, occupancy=occ),
-                    processed.size if frontier_on else 0,
                     active_vertices,
                     {"updated_shards": int(written.size)},
                     stages,
@@ -713,11 +702,10 @@ class CuShaEngine(Engine):
 
         def sweeps(it: SweepContext) -> Iterator[SweepStep]:
             nonlocal stage1_run, stage2_run, stage3_run, stage4_total
-            frontier, track, mdr = it.frontier, it.track, it.mdr
+            track, mdr = it.track, it.mdr
             while True:
                 push = it.push
                 active_vertices = 0
-                processed_shards = 0
                 if push:
                     s1_it, s2_it, s3_it = (KernelStats() for _ in range(3))
                 else:
@@ -732,24 +720,15 @@ class CuShaEngine(Engine):
                     st4_iter = KernelStats()
                 updated_total = 0
                 updated_shards: list[int] = []
-                mdr_processed: list[int] = []
                 pending_writeback: list[int] = []
                 wave_upd: list[np.ndarray] = []
                 for i in range(S):
-                    skip = push and not frontier.dirty[i]
-                    if skip:
-                        frontier.shards_skipped += 1
-                    else:
-                        if push and mdr is not None:
-                            mdr_processed.append(i)
-                        if frontier_on:
-                            frontier.dirty[i] = False
-                            frontier.edges_processed += int(entries_per_shard[i])
-                            processed_shards += 1
-                            if push:
-                                s1_it += stage1[i]
-                                s2_it += stage2[i]
-                                s3_it += stage3[i]
+                    unit = it.take(i, i + 1)
+                    if unit is None or unit.size:
+                        if push:
+                            s1_it += stage1[i]
+                            s2_it += stage2[i]
+                            s3_it += stage3[i]
                         ops, changed, idx = shard_kernel(
                             program, vertex_values, entries, blocks[i], track
                         )
@@ -770,9 +749,7 @@ class CuShaEngine(Engine):
                             updated_total += idx.size
                             updated_shards.append(i)
                             pending_writeback.append(i)
-                            if frontier_on:
-                                it.last_mask[idx] = True
-                                wave_upd.append(idx)
+                            wave_upd.append(idx)
                         elif self.always_writeback:
                             updated_shards.append(i)
                             pending_writeback.append(i)
@@ -783,16 +760,12 @@ class CuShaEngine(Engine):
                                 cw.cw_src_index[csl]
                             ]
                         pending_writeback.clear()
-                        if frontier_on and wave_upd:
+                        if wave_upd:
                             # Wave-boundary frontier marking, in lockstep
                             # with write-back visibility.
-                            frontier.mark(np.concatenate(wave_upd))
+                            it.mark(np.concatenate(wave_upd))
                             wave_upd.clear()
                 if mdr is not None:
-                    if push:
-                        mdr.note_processed(
-                            np.asarray(mdr_processed, dtype=np.int64)
-                        )
                     mdr.note_updated(np.asarray(updated_shards, dtype=np.int64))
                 iter_stats += s1_it + s2_it + s3_it
                 for i in updated_shards:
@@ -813,7 +786,6 @@ class CuShaEngine(Engine):
                     updated_total,
                     iter_stats,
                     self.cost_model.time_ms(iter_stats, occupancy=occ),
-                    processed_shards,
                     active_vertices,
                     {"updated_shards": len(updated_shards)},
                     stages,

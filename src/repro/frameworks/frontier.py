@@ -132,46 +132,62 @@ def resume_dirty(
 
 
 class ShardFrontier:
-    """Live dirty bitmap + work counters for one frontier-gated run.
+    """Live dirty bitmap, updated-vertex mask and work counters for one
+    frontier-gated run.
 
-    Engines call :meth:`active` to pick the units to process, :meth:`clear`
-    on the processed units, and :meth:`mark` with the genuinely updated
-    vertex indices at each write-back flush (self-units are marked here
-    too — the call sites coincide for every engine's flush discipline, see
-    the module docstring).
+    The operators ask for their units with :meth:`take` (the dirty ones
+    of a range under push, all of them under pull; cleared and counted)
+    and flush their genuinely updated vertex indices with :meth:`mark` at
+    each write-back boundary (self-units are marked there too; the call
+    sites coincide for every engine's flush discipline, see the module
+    docstring).  ``mark`` also records the vertices in :attr:`updated`,
+    the iteration's mask that checkpoints store.  A dense sweep that
+    cannot mark per unit rebuilds the bitmap once with :meth:`settle`.
+    The driver resets ``updated`` and ``processed`` (the units taken) at
+    every iteration start and reads them at its end.
     """
 
     __slots__ = (
         "dirty",
+        "updated",
         "unit_size",
+        "unit_edges",
+        "flush_pos",
         "indptr",
         "targets",
         "edges_processed",
         "shards_skipped",
+        "processed",
     )
 
     def __init__(
         self,
-        num_units: int,
+        num_vertices: int,
         unit_size: int,
+        unit_edges: np.ndarray,
+        flush_pos: np.ndarray,
         indptr: np.ndarray,
         targets: np.ndarray,
         resume: np.ndarray | None = None,
-        flush_pos: np.ndarray | None = None,
     ) -> None:
-        if resume is None:
-            # A fresh run: everything is dirty (the first sweep is full).
-            self.dirty = np.ones(num_units, dtype=bool)
-        else:
-            assert flush_pos is not None
-            self.dirty = resume_dirty(
-                resume, unit_size, num_units, indptr, targets, flush_pos
-            )
         self.unit_size = unit_size
+        self.unit_edges = unit_edges
+        self.flush_pos = flush_pos
         self.indptr = indptr
         self.targets = targets
+        self.updated = np.zeros(num_vertices, dtype=bool)
+        if resume is None:
+            # A fresh run: everything is dirty (the first sweep is full).
+            self.dirty = np.ones(len(unit_edges), dtype=bool)
+        else:
+            self.dirty = self._rebuild(resume)
         self.edges_processed = 0
         self.shards_skipped = 0
+        self.processed = 0
+
+    def _rebuild(self, mask: np.ndarray) -> np.ndarray:
+        return resume_dirty(mask, self.unit_size, len(self.unit_edges),
+                            self.indptr, self.targets, self.flush_pos)
 
     def active(self, lo: int, hi: int) -> np.ndarray:
         """Absolute indices of dirty units within ``[lo, hi)``."""
@@ -180,11 +196,30 @@ class ShardFrontier:
     def clear(self, units: np.ndarray) -> None:
         self.dirty[units] = False
 
+    def take(self, lo: int, hi: int, push: bool) -> np.ndarray:
+        """The units of ``[lo, hi)`` a sweep processes, cleared and counted:
+        the dirty ones under push, all of them under pull."""
+        units = self.active(lo, hi) if push else np.arange(lo, hi)
+        self.clear(units)
+        self.shards_skipped += (hi - lo) - units.size
+        self.processed += units.size
+        self.edges_processed += int(self.unit_edges[units].sum())
+        return units
+
     def mark(self, updated_vertices: np.ndarray) -> None:
-        """Mark the updaters' own units and every unit they influence."""
+        """Record the updated vertices and mark the updaters' own units
+        and every unit they influence."""
         upd = np.asarray(updated_vertices, dtype=np.int64)
         if not upd.size:
             return
+        self.updated[upd] = True
         self.dirty[upd // self.unit_size] = True
         edges = multi_arange(self.indptr[upd], self.indptr[upd + 1])
         self.dirty[self.targets[edges]] = True
+
+    def settle(self, updated_vertices: np.ndarray) -> None:
+        """Record a dense sweep's updated vertices and set the bitmap a
+        gated sweep would have left behind (live marks minus the clears of
+        later-processed units)."""
+        self.updated[updated_vertices] = True
+        self.dirty = self._rebuild(self.updated)

@@ -234,8 +234,7 @@ class StreamedCuShaEngine(Engine):
         chunk_sweeps, **cache_info,
     ) -> SweepPlan:
         """The plan both paths share.  ``chunk_sweeps(it)`` yields, per
-        iteration, ``(updated, processed, active_vertices, ran,
-        writeback_stats)`` with ``ran`` the ``(chunk, stats, h2d_ms,
+        iteration, ``(updated, active_vertices, ran, writeback_stats)`` with ``ran`` the ``(chunk, stats, h2d_ms,
         h2d_bytes)`` of every chunk that launched; this prices the overlap
         and emits the per-chunk spans."""
         tracer = config.tracer
@@ -250,9 +249,7 @@ class StreamedCuShaEngine(Engine):
             nonlocal unoverlapped_ms
             steps = chunk_sweeps(it)
             while True:
-                updated, processed, active_vertices, ran, wb_stats = next(
-                    steps
-                )
+                updated, active_vertices, ran, wb_stats = next(steps)
                 iter_stats = KernelStats()
                 compute_times: list[float] = []
                 chunk_tt: list[float] = []
@@ -286,7 +283,6 @@ class StreamedCuShaEngine(Engine):
                     updated,
                     iter_stats,
                     pipelined + wb_ms,
-                    processed,
                     active_vertices,
                     {"overlap_saved_ms": serial - pipelined},
                     [("writeback", wb_ms, wb_stats)] if trace_on else [],
@@ -332,7 +328,6 @@ class StreamedCuShaEngine(Engine):
     def _plan_fast(
         self, graph: DiGraph, program: VertexProgram, config: RunConfig
     ) -> SweepPlan:
-        frontier_on = config.frontier != "off"
         vbytes = program.vertex_value_bytes
         warp = self.spec.warp_size
         entry_bytes = _entry_bytes(program)
@@ -372,19 +367,12 @@ class StreamedCuShaEngine(Engine):
         ]
 
         def chunk_sweeps(it: SweepContext) -> Iterator[tuple]:
-            frontier, track, mdr = it.frontier, it.track, it.mdr
+            track, mdr = it.track, it.mdr
             while True:
                 push = it.push
                 active_vertices = 0
-                active_shard_count = 0
+                act = it.take(0, S)
                 if push:
-                    act = frontier.active(0, S)
-                    frontier.shards_skipped += S - act.size
-                    frontier.clear(act)
-                    active_shard_count = int(act.size)
-                    if mdr is not None:
-                        mdr.note_processed(act)
-                    frontier.edges_processed += int(shard_entry_sizes[act].sum())
                     v_idx, e_idx, dest_sub, _ = pack_shards(
                         act, N, n, sh.shard_offsets, dest_global
                     )
@@ -395,10 +383,6 @@ class StreamedCuShaEngine(Engine):
                     idx = v_idx[pos]
                     ec = entry_chunk[e_idx]
                 else:
-                    if frontier_on:  # pull: dense sweep over everything
-                        frontier.dirty[:] = False
-                        active_shard_count = S
-                        frontier.edges_processed += total_entries
                     # The whole iteration is one wave: write-back is
                     # deferred to the iteration boundary (BSP across
                     # chunks), so one step over every entry equals the
@@ -485,14 +469,10 @@ class StreamedCuShaEngine(Engine):
                     wb_stats = stats_from_row(wb_mat[upd_shards].sum(axis=0))
                 else:
                     wb_stats = KernelStats()
-                if frontier_on:
-                    # Iteration-end flush: mark the updaters' shards and
-                    # everything they influence (all marks survive under
-                    # BSP).
-                    it.last_mask[idx] = True
-                    frontier.mark(idx)
-                yield (updated_total, active_shard_count, active_vertices, ran,
-                        wb_stats)
+                # Iteration-end flush: mark the updaters' shards and
+                # everything they influence (all marks survive under BSP).
+                it.mark(idx)
+                yield updated_total, active_vertices, ran, wb_stats
 
         return self._plan(
             graph, program, config, cw, C, vertex_values, chunk_sweeps,
@@ -506,7 +486,6 @@ class StreamedCuShaEngine(Engine):
     def _plan_reference(
         self, graph: DiGraph, program: VertexProgram, config: RunConfig
     ) -> SweepPlan:
-        frontier_on = config.frontier != "off"
         cw, _, _, _ = self._lookup(graph, program, None, stats=False)
         sh = cw.shards
         vbytes = program.vertex_value_bytes
@@ -526,43 +505,29 @@ class StreamedCuShaEngine(Engine):
         entries = (src_value, src_static, edge_vals)
 
         def chunk_sweeps(it: SweepContext) -> Iterator[tuple]:
-            frontier, track, mdr = it.frontier, it.track, it.mdr
+            track, mdr = it.track, it.mdr
             while True:
-                push = it.push
                 active_vertices = 0
-                active_shard_count = 0
                 updated_total = 0
                 updated_shards_all: list[int] = []
                 upd_idx_all: list[np.ndarray] = []
                 ran = []
-                if mdr is not None and push:
-                    # Marks only flush at the iteration boundary (flush_pos
-                    # == 0), so the dirty set is exactly the shards the
-                    # chunk loop is about to process.
-                    mdr.note_processed(np.flatnonzero(frontier.dirty))
                 for k, (a, b) in enumerate(chunks):
-                    sizes = shard_entry_sizes[a:b]
-                    if push:
-                        act_bits = frontier.dirty[a:b]
-                        if not act_bits.any():
-                            # Quiescent chunk: no kernel launch and no H2D
-                            # transfer at all.
-                            frontier.shards_skipped += b - a
-                            continue
-                        sizes = sizes[act_bits]
-                    cb = int(sizes.sum()) * entry_bytes
+                    # Marks only flush at the iteration boundary (flush_pos
+                    # == 0), so a chunk's dirty shards stay put while the
+                    # chunk loop runs.
+                    act = it.take(a, b)
+                    if act is None:
+                        act = range(a, b)
+                    elif not act.size:
+                        # Quiescent chunk: no kernel launch and no H2D
+                        # transfer at all.
+                        continue
+                    cb = int(shard_entry_sizes[act].sum()) * entry_bytes
                     # Stages 1-3 of every (frontier-active) shard in the
                     # chunk.
                     stats = KernelStats()
-                    for i in range(a, b):
-                        if push and not frontier.dirty[i]:
-                            frontier.shards_skipped += 1
-                            continue
-                        if frontier_on:
-                            frontier.dirty[i] = False
-                            frontier.edges_processed += int(
-                                shard_entry_sizes[i])
-                            active_shard_count += 1
+                    for i in act:
                         ops, changed, idx = shard_kernel(
                             program, vertex_values, entries, blocks[i], track
                         )
@@ -589,15 +554,12 @@ class StreamedCuShaEngine(Engine):
                     csl = cw.cw_slice(i)
                     src_value[cw.mapper[csl]] = vertex_values[cw.cw_src_index[csl]]
                     wb_stats += writeback[i]
-                if frontier_on and upd_idx_all:
+                if upd_idx_all:
                     # Iteration-end flush: src_value now carries the new
                     # values, so mark the updaters' shards and everything
                     # they influence (all marks survive under BSP).
-                    all_idx = np.concatenate(upd_idx_all)
-                    it.last_mask[all_idx] = True
-                    frontier.mark(all_idx)
-                yield (updated_total, active_shard_count, active_vertices, ran,
-                        wb_stats)
+                    it.mark(np.concatenate(upd_idx_all))
+                yield updated_total, active_vertices, ran, wb_stats
 
         return self._plan(
             graph, program, config, cw, len(chunks), vertex_values,

@@ -16,7 +16,8 @@ The driver owns, in this order per run:
   and the :class:`~repro.frameworks.frontier.ShardFrontier`;
 - the ``launch`` and ``h2d`` fault hooks and the ``h2d`` transfer span;
 - per iteration: the ``kernel``/``device`` hooks, the ``iteration`` span,
-  ``begin_iteration``, the push/pull direction and the updated-mask reset,
+  ``begin_iteration``, the push/pull direction and the frontier's
+  updated-mask and unit-count reset,
   the sweep, the multi-device time and ``exchange`` span, the traces, the
   iteration-span attrs and the engine's stage spans, the ``values`` hook
   and the convergence test;
@@ -52,12 +53,13 @@ __all__ = ["SweepPlan", "SweepContext", "SweepStep", "run_sweeps"]
 @dataclass
 class SweepContext:
     """What the sweep operator sees; the driver updates ``iteration``,
-    ``start_ms`` and ``push`` before every step."""
+    ``start_ms`` and ``push`` before every step.
+
+    Operators go through :meth:`take` and :meth:`mark` for every frontier
+    and placement note, so the same sweep runs with the frontier off."""
 
     frontier: ShardFrontier | None
     """The live dirty bitmap, ``None`` with the frontier off."""
-    last_mask: np.ndarray | None
-    """The iteration's updated-vertex mask, cleared by the driver."""
     mdr: MultiDeviceRun | None
     track: bool
     """Count the vertices whose reduction changed (traced frontier runs)."""
@@ -66,6 +68,22 @@ class SweepContext:
     """Modeled start of the iteration (for the engine's own spans)."""
     push: bool = False
     """Sparse gather over the dirty units (else a dense sweep)."""
+
+    def take(self, lo: int, hi: int) -> np.ndarray | None:
+        """The units of ``[lo, hi)`` to process (:meth:`ShardFrontier.take`),
+        noted for the device split under push; ``None`` with the frontier
+        off."""
+        if self.frontier is None:
+            return None
+        units = self.frontier.take(lo, hi, self.push)
+        if self.push and self.mdr is not None:
+            self.mdr.note_processed(units)
+        return units
+
+    def mark(self, updated_vertices: np.ndarray) -> None:
+        """Flush updated vertices into the frontier (a no-op when off)."""
+        if self.frontier is not None:
+            self.frontier.mark(updated_vertices)
 
 
 @dataclass
@@ -76,8 +94,6 @@ class SweepStep:
     stats: KernelStats
     t_ms: float
     """Single-device modeled time of the iteration."""
-    processed: int = 0
-    """Units processed (counted only with the frontier on)."""
     active_vertices: int | None = None
     attrs: dict = field(default_factory=dict)
     """Extra iteration-span attrs (traced runs)."""
@@ -129,9 +145,8 @@ def _frontier(plan: SweepPlan, graph, config: RunConfig) -> ShardFrontier:
     indptr, targets = cached(
         plan.cache, ("frontier", plan.fingerprint, plan.unit_size), build)
     resume = None if config.resume is None else config.resume.frontier
-    return ShardFrontier(units, plan.unit_size, indptr, targets,
-                         resume=resume,
-                         flush_pos=plan.flush_pos)
+    return ShardFrontier(n, plan.unit_size, plan.unit_edges, plan.flush_pos,
+                         indptr, targets, resume=resume)
 
 
 def run_sweeps(
@@ -167,11 +182,10 @@ def run_sweeps(
             value_bytes=vbytes,
             pcie=engine.pcie,
         )
-        frontier = last_mask = None
+        frontier = None
         total_edges = 0
         if config.frontier != "off":
             frontier = _frontier(plan, graph, config)
-            last_mask = np.zeros(graph.num_vertices, dtype=bool)
             total_edges = int(plan.unit_edges.sum())
 
         # ----- transfers (Figure 10) -------------------------------------
@@ -189,7 +203,7 @@ def run_sweeps(
         )
 
         # ----- iterate ----------------------------------------------------
-        ctx = SweepContext(frontier, last_mask, mdr,
+        ctx = SweepContext(frontier, mdr,
                            frontier is not None and trace_on)
         sweeps = plan.sweeps(ctx)
         total_stats = KernelStats()
@@ -210,6 +224,7 @@ def run_sweeps(
                 f"iter-{iteration}", "iteration", model_start_ms=start_ms
             ) as it_span:
                 direction = None
+                processed = 0
                 if frontier is not None:
                     program.begin_iteration(iteration)
                     if config.frontier == "auto":
@@ -219,11 +234,14 @@ def run_sweeps(
                         )
                     else:
                         direction = "push"
-                    last_mask[:] = False
+                    frontier.updated[:] = False
+                    frontier.processed = 0
                 ctx.iteration = iteration
                 ctx.start_ms = start_ms
                 ctx.push = direction == "push"
                 step = next(sweeps)
+                if frontier is not None:
+                    processed = frontier.processed
                 t_ms = step.t_ms
                 if mdr is not None:
                     t_ms = mdr.iteration_time(t_ms)
@@ -240,7 +258,7 @@ def run_sweeps(
                 total_stats += step.stats
                 iterations = iteration
                 traces.append(IterationTrace(
-                    iteration, step.updated, t_ms, kernel_ms, step.processed,
+                    iteration, step.updated, t_ms, kernel_ms, processed,
                 ))
                 if trace_on:
                     it_span.model_ms = t_ms
@@ -249,7 +267,7 @@ def run_sweeps(
                     attrs.update(step.attrs)
                     if frontier is not None:
                         attrs["frontier_direction"] = direction
-                        attrs["active_shards"] = step.processed
+                        attrs["active_shards"] = processed
                         if step.active_vertices is not None:
                             attrs["active_vertices"] = step.active_vertices
                     tracer.metrics.histogram(
@@ -315,7 +333,7 @@ def run_sweeps(
             cache_misses=plan.cache_misses,
             edges_processed=0 if frontier is None else frontier.edges_processed,
             shards_skipped=0 if frontier is None else frontier.shards_skipped,
-            frontier_mask=None if last_mask is None else last_mask.copy(),
+            frontier_mask=None if frontier is None else frontier.updated.copy(),
             devices=config.devices,
             exchange_bytes=0 if mdr is None else mdr.exchange_bytes,
             exchange_ms=0.0 if mdr is None else mdr.exchange_ms,

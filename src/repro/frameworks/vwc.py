@@ -28,7 +28,6 @@ from repro.frameworks import costs
 from repro.frameworks.base import Engine, RunConfig, RunResult
 from repro.frameworks.csrloop import (CSRProblem, cache_option,
                                      iterate_chunks, preflight_csr, run_chunk)
-from repro.frameworks.frontier import resume_dirty
 from repro.frameworks.sweep import (SweepContext, SweepPlan, SweepStep,
                                     run_sweeps)
 from repro.graph.digraph import DiGraph
@@ -348,8 +347,6 @@ class VWCEngine(Engine):
             np.arange(num_chunks + 1, dtype=np.int64) * chunk_size, n
         )
         chunk_edge_counts = np.diff(problem.csr.in_edge_idxs[chunk_bounds])
-        chunk_flush_pos = np.arange(num_chunks, dtype=np.int64)
-        total_in_edges = int(problem.csr.in_edge_idxs[-1])
         if frontier_on:
             chunk_rows = cached(
                 cache, ("vwc-chunk-stats", fp, *layout, chunk_size),
@@ -361,7 +358,7 @@ class VWCEngine(Engine):
         upd_mask = np.zeros(n, dtype=bool)
 
         def sweeps(it: SweepContext) -> Iterator[SweepStep]:
-            frontier, last_mask, mdr = it.frontier, it.last_mask, it.mdr
+            mdr = it.mdr
             while True:
                 rows = np.zeros_like(run_rows)
                 if it.push:
@@ -374,11 +371,8 @@ class VWCEngine(Engine):
                     ran: list[int] = []
                     updated_parts = [np.empty(0, dtype=np.int64)]
                     for c in range(num_chunks):
-                        if not frontier.dirty[c]:
-                            frontier.shards_skipped += 1
+                        if not it.take(c, c + 1).size:
                             continue
-                        frontier.dirty[c] = False
-                        frontier.edges_processed += int(chunk_edge_counts[c])
                         ran.append(c)
                         a = c * chunk_size
                         idx, _ops = run_chunk(
@@ -386,15 +380,12 @@ class VWCEngine(Engine):
                         )
                         if idx.size:
                             updated_parts.append(idx)
-                            last_mask[idx] = True
-                            frontier.mark(idx)
+                            it.mark(idx)
                     updated_idx = np.concatenate(updated_parts)
                     rows[:3] = chunk_rows[ran].sum(axis=0)
                     launches = 1 if ran else 0
-                    active_chunk_count = len(ran)
-                    if mdr is not None:
-                        mdr.note_processed(np.asarray(ran, dtype=np.int64))
                 else:
+                    it.take(0, num_chunks)
                     updated_idx, _ops = iterate_chunks(
                         problem,
                         self.chunk_vertices,
@@ -402,19 +393,8 @@ class VWCEngine(Engine):
                     )
                     rows[:3] = full
                     launches = 1
-                    active_chunk_count = 0
-                    if frontier_on:  # pull: dense sweep over every chunk
-                        active_chunk_count = num_chunks
-                        frontier.edges_processed += total_in_edges
-                        last_mask[updated_idx] = True
-                        # The exact end-of-iteration bitmap a gated sweep
-                        # would leave behind (live marks minus the clears of
-                        # later-processed chunks).
-                        frontier.dirty = resume_dirty(
-                            last_mask, chunk_size, num_chunks,
-                            frontier.indptr, frontier.targets,
-                            chunk_flush_pos,
-                        )
+                    if it.frontier is not None:
+                        it.frontier.settle(updated_idx)
                 if mdr is not None and updated_idx.size:
                     mdr.note_updated(np.unique(updated_idx // chunk_size))
                 if updated_idx.size:
@@ -443,7 +423,6 @@ class VWCEngine(Engine):
                     int(updated_idx.size),
                     iter_stats,
                     self.cost_model.time_ms(iter_stats, occupancy=1.0),
-                    active_chunk_count,
                     None,
                     {},
                     stages,
@@ -463,7 +442,7 @@ class VWCEngine(Engine):
             values=problem.vertex_values,
             unit_size=chunk_size,
             unit_edges=chunk_edge_counts,
-            flush_pos=chunk_flush_pos,
+            flush_pos=np.arange(num_chunks, dtype=np.int64),
             representation_bytes=problem.csr.memory_bytes(
                 vbytes, ebytes, sbytes
             ),

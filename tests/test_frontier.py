@@ -10,6 +10,8 @@ random graphs and lattice shapes, and unit tests pinning the
 Beamer-style push↔pull direction switch on a star vs. a path graph.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from repro.algorithms import PROGRAM_NAMES, make_program
 from repro.frameworks import (CuShaEngine, RunConfig, StreamedCuShaEngine,
                               VWCEngine)
 from repro.frameworks.frontier import (DIRECTION_ALPHA, FRONTIER_MODES,
-                                       choose_direction)
+                                       ShardFrontier, choose_direction)
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (path, random_weights, road_network,
                                     star)
@@ -363,3 +365,48 @@ class TestFrontierGate:
         current["engine"] = "cusha-gs"
         violations = compare_frontier_reports(self._report(), current)
         assert "P321" in [v.code for v in violations]
+
+
+class TestSweepProtocol:
+    """The frontier half of the iteration protocol lives in
+    ``ShardFrontier`` and ``SweepContext``; the sweep operators only take
+    units and mark updates."""
+
+    OPERATORS = ("cusha.py", "streamed.py", "vwc.py")
+    BOOKKEEPING = (".dirty", "edges_processed", "shards_skipped",
+                   "last_mask", "note_processed", "resume_dirty")
+
+    @pytest.mark.parametrize("module", OPERATORS)
+    def test_operators_leave_bookkeeping_to_the_framework(self, module):
+        import repro.frameworks
+
+        path = pathlib.Path(repro.frameworks.__file__).parent / module
+        text = path.read_text()
+        assert [name for name in self.BOOKKEEPING if name in text] == []
+
+    @staticmethod
+    def _frontier():
+        # Four units of two vertices; vertex 0 influences unit 3.
+        return ShardFrontier(
+            8, 2, np.array([5, 0, 7, 1]), np.arange(4),
+            np.array([0, 1, 1, 1, 1, 1, 1, 1, 1]), np.array([3]))
+
+    def test_take_under_push_clears_and_counts_the_dirty_units(self):
+        f = self._frontier()
+        f.dirty[:] = [True, False, True, False]
+        assert f.take(0, 3, push=True).tolist() == [0, 2]
+        assert f.dirty.tolist() == [False] * 4
+        assert (f.processed, f.shards_skipped, f.edges_processed) == (2, 1, 12)
+
+    def test_take_under_pull_processes_every_unit(self):
+        f = self._frontier()
+        f.dirty[:] = False
+        assert f.take(1, 4, push=False).tolist() == [1, 2, 3]
+        assert (f.processed, f.shards_skipped, f.edges_processed) == (3, 0, 8)
+
+    def test_mark_records_the_updated_mask(self):
+        f = self._frontier()
+        f.dirty[:] = False
+        f.mark(np.array([0]))
+        assert np.flatnonzero(f.updated).tolist() == [0]
+        assert f.dirty.tolist() == [True, False, False, True]
