@@ -40,9 +40,12 @@ class SlotTable:
 
     @classmethod
     def build(cls, problem: "CSRProblem", chunk_size: int) -> "SlotTable":
-        sources = problem.csr.src_indxs.astype(np.intp)
-        dest_local = problem.destinations.astype(np.intp)
-        dest_local %= chunk_size
+        csr = problem.csr
+        sources = csr.src_indxs.astype(np.intp)
+        dest_local = np.repeat(
+            np.arange(csr.num_vertices, dtype=np.intp) % chunk_size,
+            np.diff(csr.in_edge_idxs),
+        )
         return cls(
             chunk_size=chunk_size,
             sources=sources,
@@ -61,7 +64,6 @@ class CSRProblem:
     vertex_values: np.ndarray
     static_values: np.ndarray | None
     edge_values: np.ndarray | None  # CSR slot order
-    destinations: np.ndarray  # per CSR slot, int64
     slots: SlotTable | None = None  # built by the first chunk that runs
 
     @classmethod
@@ -70,8 +72,8 @@ class CSRProblem:
     ) -> "CSRProblem":
         """Assemble the problem, memoizing the structural pieces.
 
-        The CSR arrays and the per-slot destination map depend only on the
-        graph's topology, so they are cached by fingerprint (see
+        The CSR arrays depend only on the graph's topology, so they are
+        cached by fingerprint (see
         :mod:`repro.cache`); the value arrays depend on the program and the
         graph's weights and are always built fresh.  ``cache=False``
         disables the memo.  A caller that already hashed ``graph`` passes
@@ -83,10 +85,6 @@ class CSRProblem:
         elif fp is None:
             fp = graph_fingerprint(graph)
         csr = cached(resolved, ("csr", fp), lambda: CSR.from_graph(graph))
-        destinations = cached(
-            resolved, ("csr-dest", fp),
-            lambda: csr.destinations().astype(np.int64),
-        )
         ev = program.edge_values(graph)
         return cls(
             csr=csr,
@@ -94,7 +92,6 @@ class CSRProblem:
             vertex_values=program.initial_values(graph),
             static_values=program.static_values(graph),
             edge_values=None if ev is None else csr.gather_edge_values(ev),
-            destinations=destinations,
         )
 
     def slot_table(self, chunk_size: int) -> SlotTable:

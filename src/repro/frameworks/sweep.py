@@ -224,7 +224,6 @@ def run_sweeps(
                 f"iter-{iteration}", "iteration", model_start_ms=start_ms
             ) as it_span:
                 direction = None
-                processed = 0
                 if frontier is not None:
                     program.begin_iteration(iteration)
                     if config.frontier == "auto":
@@ -240,8 +239,7 @@ def run_sweeps(
                 ctx.start_ms = start_ms
                 ctx.push = direction == "push"
                 step = next(sweeps)
-                if frontier is not None:
-                    processed = frontier.processed
+                processed = 0 if frontier is None else frontier.processed
                 t_ms = step.t_ms
                 if mdr is not None:
                     t_ms = mdr.iteration_time(t_ms)

@@ -28,10 +28,9 @@ class TestSlotTable:
         assert np.array_equal(table.sources, csr.src_indxs)
         assert np.array_equal(table.static,
                               problem.static_values[csr.src_indxs])
-        starts = problem.destinations // 16 * 16
+        dests = csr.destinations()
         assert table.dest_local.dtype == np.intp
-        assert np.array_equal(table.dest_local,
-                              problem.destinations - starts)
+        assert np.array_equal(table.dest_local, dests - dests // 16 * 16)
 
     def test_built_once_per_chunk_size(self, problem):
         iterate_chunks(problem, 16)
@@ -45,11 +44,11 @@ class TestSlotTable:
         g = random_graph(6, n=40, m=200)
         cache = RepresentationCache()
         p1 = CSRProblem.build(g, make_program("cc", g), cache=cache)
-        before = p1.destinations.copy()
+        before = p1.csr.destinations()
         iterate_chunks(p1, 8)
         p2 = CSRProblem.build(g, make_program("cc", g), cache=cache)
-        assert p2.destinations is p1.destinations
-        assert np.array_equal(p2.destinations, before)
+        assert p2.csr is p1.csr
+        assert np.array_equal(p2.csr.destinations(), before)
 
     def test_misaligned_chunk_is_refused(self, problem):
         with pytest.raises(ValueError, match="not one chunk"):

@@ -17,7 +17,7 @@ def problem():
 
 class TestBuild:
     def test_arrays_aligned(self, problem):
-        assert problem.destinations.size == problem.csr.num_edges
+        assert problem.csr.destinations().size == problem.csr.num_edges
         assert problem.edge_values.shape[0] == problem.csr.num_edges
         assert problem.vertex_values.shape[0] == problem.csr.num_vertices
 
