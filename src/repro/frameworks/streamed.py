@@ -234,9 +234,10 @@ class StreamedCuShaEngine(Engine):
         chunk_sweeps, **cache_info,
     ) -> SweepPlan:
         """The plan both paths share.  ``chunk_sweeps(it)`` yields, per
-        iteration, ``(updated, active_vertices, ran, writeback_stats)`` with ``ran`` the ``(chunk, stats, h2d_ms,
-        h2d_bytes)`` of every chunk that launched; this prices the overlap
-        and emits the per-chunk spans."""
+        iteration, ``(updated, active_vertices, ran, writeback_stats)``
+        with ``ran`` the ``(chunk, stats, h2d_ms, h2d_bytes)`` of every
+        chunk that launched; this prices the overlap and emits the
+        per-chunk spans."""
         tracer = config.tracer
         trace_on = tracer.enabled
         sh = cw.shards
