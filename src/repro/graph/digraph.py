@@ -23,6 +23,20 @@ INDEX_DTYPE = np.int32
 """Dtype for vertex indices; 4 bytes, as assumed by the paper's size formulas."""
 
 
+def _vertex_ids(ids, name: str) -> np.ndarray:
+    """``ids`` as :data:`INDEX_DTYPE`; a float id the cast would truncate
+    (fractional, NaN, inf) is a ``GraphFormatError``."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind == "f":
+        bad = ~np.isfinite(ids) | (ids != np.trunc(ids))
+        if bad.any():
+            raise GraphFormatError(
+                f"{name} endpoints must be whole numbers, found "
+                f"{float(ids[bad][0])}"
+            )
+    return np.ascontiguousarray(ids, dtype=INDEX_DTYPE)
+
+
 class DiGraph:
     """A directed graph as parallel ``src``/``dst`` edge arrays.
 
@@ -51,8 +65,8 @@ class DiGraph:
         *,
         validate: bool = True,
     ) -> None:
-        src = np.ascontiguousarray(src, dtype=INDEX_DTYPE)
-        dst = np.ascontiguousarray(dst, dtype=INDEX_DTYPE)
+        src = _vertex_ids(src, "src")
+        dst = _vertex_ids(dst, "dst")
         if weights is not None:
             weights = np.ascontiguousarray(weights, dtype=np.float64)
         num_vertices = int(num_vertices)

@@ -76,13 +76,20 @@ def field_bytes(dtype: np.dtype, name: str) -> int:
 
 
 def uint32_weights(weights: np.ndarray, program: str) -> np.ndarray:
-    """``weights`` as ``uint32`` edge values; a weight the cast would wrap
-    or zero (negative, NaN, inf, too large) is a ``GraphFormatError``."""
+    """``weights`` as ``uint32`` edge values; a weight the cast would wrap,
+    zero or truncate (negative, NaN, inf, too large, fractional) is a
+    ``GraphFormatError``."""
     if weights.size:
         lo, hi = weights.min(), weights.max()
         if not (0 <= lo and hi <= UINT_INF):  # NaN fails both
             raise GraphFormatError(
                 f"{program} needs finite edge weights in "
                 f"[0, {int(UINT_INF)}], found range [{lo}, {hi}]"
+            )
+        fractional = weights != np.trunc(weights)
+        if fractional.any():
+            raise GraphFormatError(
+                f"{program} needs integral edge weights, found "
+                f"{float(weights[fractional][0])}"
             )
     return weights.astype(np.uint32)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import GraphFormatError
 from repro.graph.digraph import DiGraph, INDEX_DTYPE
 from repro.graph import generators
 
@@ -44,6 +45,17 @@ class TestConstruction:
     def test_rejects_negative_indices(self):
         with pytest.raises(ValueError, match="endpoints"):
             DiGraph(np.array([-1]), np.array([0]), 3)
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf])
+    def test_rejects_non_integral_float_endpoints(self, bad):
+        with pytest.raises(GraphFormatError, match="whole numbers"):
+            DiGraph(np.array([bad, 1.0]), np.array([1, 2]), 3)
+        with pytest.raises(GraphFormatError, match="whole numbers"):
+            DiGraph(np.array([0, 1]), np.array([1.0, bad]), 3)
+
+    def test_integral_float_endpoints_cast_exactly(self):
+        g = DiGraph(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 3)
+        assert g.src.tolist() == [0, 1] and g.dst.tolist() == [1, 2]
 
     def test_rejects_misaligned_weights(self):
         with pytest.raises(ValueError, match="weights"):

@@ -251,8 +251,9 @@ class TestUnrepresentableWeights:
     value is refused before the cast could wrap or zero it."""
 
     @pytest.mark.parametrize("name", ["sssp", "sswp"])
-    @pytest.mark.parametrize("bad", [-2.0, np.nan, np.inf, 2.0 ** 40],
-                             ids=["negative", "nan", "inf", "too-large"])
+    @pytest.mark.parametrize("bad", [-2.0, np.nan, np.inf, 2.0 ** 40, 2.5],
+                             ids=["negative", "nan", "inf", "too-large",
+                                  "fractional"])
     def test_refused(self, name, bad):
         g = DiGraph([0, 1], [1, 2], 3, weights=[bad, 1.0])
         with pytest.raises(GraphFormatError, match="edge weights"):
