@@ -1,9 +1,9 @@
-"""Abstract interpretation over the certify IR: value ranges, overflow,
+"""Abstract interpretation over the kernel IR: value ranges, overflow,
 NaN/Inf, and termination certificates that make dtype narrowing sound.
 
-PR 8's certifier (:mod:`repro.analysis.certify`) proves *algebraic* kernel
-contracts; this module adds the *value* layer.  Two cooperating abstract
-domains run over the same lowered IR:
+The kernel certifier (:mod:`repro.analysis.certify`) proves *algebraic*
+kernel contracts; this module adds the *value* layer.  Two cooperating
+abstract domains run over the IR :mod:`repro.analysis.kernel_ir` lowers:
 
 interval domain
     Per-field value ranges.  Each :class:`FieldRange` is a finite interval
@@ -63,14 +63,24 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from repro.analysis import certify as _c
 from repro.analysis.certify import (
+    FALSIFY_MAX_SWEEPS,
     PROVED,
     REFUTED,
     UNKNOWN,
+    Certificate,
+    CheckResult,
+    apply_model,
+    dest_dependence,
+    falsify_unknowns,
+    identity_for,
+    init_local_model,
+    program_fingerprint,
+    tiny_setup,
+)
+from repro.analysis.kernel_ir import (
     BinOp,
     Call,
-    CheckResult,
     Compare,
     Const,
     FieldRead,
@@ -78,7 +88,11 @@ from repro.analysis.certify import (
     UnaryOp,
     Unknown,
     Where,
-    program_fingerprint,
+    field_dtype,
+    has_unknown,
+    lower_kernels,
+    messages_returns,
+    reads_param,
 )
 from repro.analysis.violations import Violation
 from repro.frameworks.scalar import vertex_sweep
@@ -580,30 +594,11 @@ def _eval_call(node: Call, env: dict, ctx: _Ctx) -> FieldRange | None:
 # ======================================================================
 
 @dataclass(frozen=True)
-class RangesCertificate:
+class RangesCertificate(Certificate):
     """W501–W504 verdicts plus the derived per-field invariant ranges."""
 
-    program: str
-    fingerprint: str
-    checks: tuple
     ranges: tuple  # ((field, (lo, hi, has_inf)), ...) for derived fields
     bounds: tuple  # GraphBounds.key() snapshot the proof is relative to
-
-    def result(self, code: str) -> CheckResult | None:
-        for check in self.checks:
-            if check.code == code:
-                return check
-        return None
-
-    def proved(self, code: str) -> bool:
-        check = self.result(code)
-        return check is not None and check.status == PROVED
-
-    @property
-    def failed(self) -> tuple:
-        return tuple(
-            (c.code, c.status) for c in self.checks if c.status != PROVED
-        )
 
     def field_range(self, field: str) -> tuple | None:
         for name, triple in self.ranges:
@@ -613,9 +608,7 @@ class RangesCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "program": self.program,
-            "fingerprint": self.fingerprint,
-            "checks": [c.to_dict() for c in self.checks],
+            **super().to_dict(),
             "ranges": {
                 name: {"lo": lo, "hi": hi, "has_inf": has_inf}
                 for name, (lo, hi, has_inf) in self.ranges
@@ -645,9 +638,13 @@ class _Analysis:
         self.graph = graph
         self.cert = cert  # the C4xx certificate (preconditions)
         self.bounds = bounds
-        self.low = {
-            name: _c._lower_method(program, name) for name in _c._KERNELS
-        }
+        self.low = lower_kernels(program)
+        self.seeds = init_local_model(program, self.low["init_local"])
+        self.model = apply_model(program, self.low["apply"])
+        # Do contributions read only source state (C406's static half)?
+        self.source_only = dest_dependence(
+            program, self.low["compute"], self.low["messages"]
+        )[0] is False
         self.facts: dict[int, FieldRange] = {}
         self.ranges: dict[str, FieldRange] = {}
         self.range_notes: dict[str, str] = {}
@@ -655,7 +652,7 @@ class _Analysis:
 
     # -- environments ---------------------------------------------------
     def _integral(self, field: str) -> bool:
-        return _c._field_base_dtype(self.program, field).kind in "ui"
+        return field_dtype(self.program.vertex_dtype, field).kind in "ui"
 
     def _init_ranges(self) -> dict[str, FieldRange]:
         return {
@@ -672,22 +669,17 @@ class _Analysis:
         for field, r in R.items():
             env[(p_src, field)] = r
             env[(p_dest, field)] = r
-        for field, stats in self.bounds.static:
-            env[(p_static, field)] = _from_stats(stats, True)
-        for field, stats in self.bounds.edge:
-            env[(p_edge, field)] = _from_stats(stats, True)
-        # Static/edge integrality actually depends on the declared dtypes.
-        for attr, param in (("static_dtype", p_static), ("edge_dtype", p_edge)):
+        for param, attr, stats_of in (
+            (p_static, "static_dtype", self.bounds.static),
+            (p_edge, "edge_dtype", self.bounds.edge),
+        ):
+            # Integrality follows the declared dtype (integral if undeclared).
             dt = getattr(self.program, attr, None)
-            if dt is None:
-                continue
-            for field in np.dtype(dt).names or ():
-                key = (param, field)
-                if key in env:
-                    env[key] = dc_replace(
-                        env[key],
-                        integral=np.dtype(dt)[field].base.kind in "ui",
-                    )
+            for field, stats in stats_of:
+                fdt = field_dtype(dt, field)
+                env[(param, field)] = _from_stats(
+                    stats, fdt is None or fdt.kind in "ui"
+                )
         return env
 
     def _message_ranges(self, R, ctx: _Ctx, *, label: bool = False):
@@ -695,7 +687,7 @@ class _Analysis:
 
         Returns None when the message structure cannot be modeled.
         """
-        rets = _c._messages_returns(self.low["messages"])
+        rets = messages_returns(self.low["messages"])
         env = self._msgs_env(R)
         if rets is None or env is None:
             return None
@@ -709,43 +701,16 @@ class _Analysis:
             evald = {}
             for field, expr in msgs.items():
                 if label:
-                    ctx.label = _c._field_base_dtype(self.program, field)
+                    ctx.label = field_dtype(self.program.vertex_dtype, field)
                 evald[field] = _eval(expr, env2, ctx)
                 ctx.label = None
             out.append(evald)
         return out
 
-    def _seed_exprs(self) -> dict[str, object] | None:
-        il = self.low.get("init_local")
-        if il is None or il.opaque or not il.params or len(il.returns) != 1:
-            return None
-        current = il.params[0]
-        ret = il.returns[0]
-        names = self.program.vertex_dtype.names or ()
-        if isinstance(ret, Param) and ret.name == current:
-            return {f: FieldRead(current, f) for f in names}
-        if isinstance(ret, _c._StructVal):
-            return {f: ret.read(f) for f in names}
-        return None
-
-    def _seed_env(self, R) -> dict | None:
-        il = self.low.get("init_local")
-        if il is None or not il.params:
-            return None
-        current = il.params[0]
-        return {(current, field): r for field, r in R.items()}
-
-    def _apply_parts(self):
-        model = _c._apply_model(self.program, self.low.get("apply"))
-        if model is None:
-            return None
-        final_exprs, updated, local, old = model
-        return final_exprs, updated, local, old
-
     # -- fixpoints ------------------------------------------------------
     def _reduce_identity_range(self, op: str, field: str) -> FieldRange:
-        ident = _c._identity_for(
-            op, _c._field_base_dtype(self.program, field)
+        ident = identity_for(
+            op, field_dtype(self.program.vertex_dtype, field)
         )
         r = _const_range(
             np.uint32(ident) if (
@@ -771,31 +736,26 @@ class _Analysis:
             return
         all_int = all(self._integral(f) for f in self.program.reduce_ops)
         all_float = all(
-            _c._field_base_dtype(self.program, f).kind == "f"
+            field_dtype(self.program.vertex_dtype, f).kind == "f"
             for f in names
         )
         if ops <= {"min", "max"} and all_int \
                 and set(names) == set(self.program.reduce_ops):
             self._derive_minmax()
-        elif ops == {"add"} and all_float:
+        elif ops == {"add"} and all_float and self.seeds is not None \
+                and self.model is not None:
             for rule in (self._rule_pr_mass, self._rule_hs_convex,
                          self._rule_cs_ratio, self._derive_add_generic):
                 if rule():
                     break
-        if self.derived:
-            missing = [f for f in names if f not in self.ranges]
-            if missing:
-                self.derived = False
+        if self.derived and any(f not in self.ranges for f in names):
+            self.derived = False
 
     def _derive_minmax(self) -> None:
         """Interval fixpoint for pure min/max reducers, with the additive
         path-bound widening for traversal-style ``src + c`` messages."""
-        if not (self.cert.proved("C401") and self.cert.proved("C403")):
-            return
-        dest_dep, _why = _c._dest_dependence(
-            self.program, self.low.get("compute"), self.low.get("messages")
-        )
-        if dest_dep is not False:
+        if not (self.cert.proved("C401") and self.cert.proved("C403")
+                and self.source_only):
             return
         R = self._init_ranges()
         if set(R) != set(self.program.reduce_ops):
@@ -841,7 +801,7 @@ class _Analysis:
         the sentinel test) is bounded by ``init_hi + (V - 1) * c_hi``:
         under C403-monotone stores every finite stored value is dominated
         by a simple-path sum, for jacobi and chaotic schedules alike."""
-        rets = _c._messages_returns(self.low["messages"])
+        rets = messages_returns(self.low["messages"])
         env = self._msgs_env(self._init_ranges())
         if rets is None or env is None:
             return
@@ -914,7 +874,7 @@ class _Analysis:
         ml = self.low["messages"]
         p_dest = ml.params[3] if len(ml.params) >= 4 else None
         for bad in (p_src, p_dest):
-            if bad is not None and _c._reads_param(cexpr, bad):
+            if bad is not None and reads_param(cexpr, bad):
                 return None
         ctx = _Ctx(self.facts)
         cr = _eval(cexpr, env, ctx)
@@ -940,7 +900,7 @@ class _Analysis:
         return True
 
     def _single_return(self):
-        rets = _c._messages_returns(self.low.get("messages"))
+        rets = messages_returns(self.low.get("messages"))
         if rets is None or len(rets) != 1:
             return None
         return rets[0]
@@ -974,7 +934,7 @@ class _Analysis:
         deg_reads = [a for a in denom.args if isinstance(a, FieldRead)
                      and a.param == p_static]
         ones = [a for a in denom.args if isinstance(a, Const)
-                and not _c._has_unknown(a)
+                and not has_unknown(a)
                 and _const_float(a.value) == 1.0]
         if len(deg_reads) != 1 or len(ones) != 1:
             return False
@@ -988,13 +948,9 @@ class _Analysis:
             self.graph.out_degrees(),
         ):
             return False
-        seeds = self._seed_exprs()
-        if seeds is None or seeds.get(field) != Const(0.0):
+        if self.seeds.get(field) != Const(0.0):
             return False
-        parts = self._apply_parts()
-        if parts is None:
-            return False
-        final_exprs, _updated, local, _old = parts
+        final_exprs, _updated, local, _old = self.model
         affine = self._match_affine(final_exprs.get(field), local, field)
         if affine is None:
             return False
@@ -1084,18 +1040,11 @@ class _Analysis:
         np.add.at(sums, self.graph.dst, coeff)
         if sums.max(initial=0.0) > 1.0 + 1e-9:
             return False
-        seeds = self._seed_exprs()
-        il = self.low.get("init_local")
-        if seeds is None or il is None:
+        current = self.low["init_local"].params[0]
+        if self.seeds.get(af) != FieldRead(current, bf) \
+                or self.seeds.get(bf) != FieldRead(current, bf):
             return False
-        current = il.params[0]
-        if seeds.get(af) != FieldRead(current, bf) \
-                or seeds.get(bf) != FieldRead(current, bf):
-            return False
-        parts = self._apply_parts()
-        if parts is None:
-            return False
-        final_exprs, _updated, local, _old = parts
+        final_exprs, _updated, local, _old = self.model
         if final_exprs.get(af) != FieldRead(local, af) \
                 or final_exprs.get(bf) != FieldRead(local, af):
             return False
@@ -1146,14 +1095,10 @@ class _Analysis:
         g = np.asarray(edges[weight.field], dtype=np.float64).ravel()
         if g.size != self.graph.num_edges or g.min() < 0.0:
             return False
-        seeds = self._seed_exprs()
-        if seeds is None or seeds.get(vf) != Const(0.0) \
-                or seeds.get(gf) != Const(0.0):
+        if self.seeds.get(vf) != Const(0.0) \
+                or self.seeds.get(gf) != Const(0.0):
             return False
-        parts = self._apply_parts()
-        if parts is None:
-            return False
-        final_exprs, _updated, local, _old = parts
+        final_exprs, _updated, local, _old = self.model
         final_g = final_exprs.get(gf)
         if not (isinstance(final_g, Const)
                 and _const_float(final_g.value) == 0.0):
@@ -1212,11 +1157,7 @@ class _Analysis:
     def _derive_add_generic(self) -> bool:
         """Bounded fixpoint for float add-reduce programs whose apply maps
         the accumulator through range-contracting ops (e.g. ``tanh``)."""
-        parts = self._apply_parts()
-        seeds = self._seed_exprs()
-        if parts is None or seeds is None:
-            return False
-        final_exprs, _updated, local, old = parts
+        final_exprs, _updated, local, old = self.model
         D = max(self.bounds.max_in_degree, 1)
         R = self._init_ranges()
         names = self.program.vertex_dtype.names or ()
@@ -1224,7 +1165,7 @@ class _Analysis:
             return False
         for _sweep in range(_MAX_FIXPOINT_SWEEPS):
             ctx = _Ctx(self.facts)
-            A = self._accumulate(R, seeds, ctx)
+            A = self._accumulate(R, ctx)
             if A is None or ctx.unresolved or ctx.div_nodes:
                 return False
             env = {(local, f): r for f, r in A.items()}
@@ -1242,17 +1183,19 @@ class _Analysis:
             R = newR
         return False
 
-    def _accumulate(self, R, seeds, ctx: _Ctx):
-        """Accumulator ranges after folding D in-messages onto the seed."""
+    def _accumulate(self, R, ctx: _Ctx):
+        """Accumulator ranges after folding D in-messages onto the seed
+        (callers ensure ``self.seeds`` exists, so ``init_local`` lowered)."""
         msgrs = self._message_ranges(R, ctx)
-        seed_env = self._seed_env(R)
-        if msgrs is None or seed_env is None:
+        if msgrs is None:
             return None
+        current = self.low["init_local"].params[0]
+        seed_env = {(current, field): r for field, r in R.items()}
         D = max(self.bounds.max_in_degree, 1)
         names = self.program.vertex_dtype.names or ()
         A = {}
         for field in names:
-            sr = _eval(seeds[field], seed_env, ctx)
+            sr = _eval(self.seeds[field], seed_env, ctx)
             if sr is None or sr.has_inf or not sr.finite:
                 return None
             op = self.program.reduce_ops.get(field)
@@ -1278,35 +1221,32 @@ class _Analysis:
         return A
 
     # -- W checks -------------------------------------------------------
-    def check_overflow(self) -> CheckResult:
-        """W501 — no evaluated op can wrap or saturate its field dtype."""
-        code = "W501"
-        if not self.derived:
-            return CheckResult(
-                code, UNKNOWN, "static",
-                "no invariant ranges derived to evaluate ops under",
-            )
+    def _evaluate(self) -> _Ctx | None:
+        """Evaluate messages, accumulation and apply under the derived
+        ranges, labeling each op with its target field dtype; ``None`` when
+        the messages are not modelable."""
         ctx = _Ctx(self.facts)
         if self._message_ranges(self.ranges, ctx, label=True) is None:
-            return CheckResult(
-                code, UNKNOWN, "static", "messages not modelable"
-            )
-        seeds = self._seed_exprs()
-        parts = self._apply_parts()
-        if seeds is not None and parts is not None:
-            A = self._accumulate(self.ranges, seeds, ctx)
-            if A is not None:
-                for field, r in A.items():
-                    if self.program.reduce_ops.get(field) == "add":
-                        ctx.label = _c._field_base_dtype(self.program, field)
-                        ctx.ops.append((ctx.label, "accumulate", r.lo, r.hi))
-                final_exprs, _updated, local, old = parts
-                env = {(local, f): r for f, r in A.items()}
-                env.update({(old, f): r for f, r in self.ranges.items()})
-                for field, expr in final_exprs.items():
-                    ctx.label = _c._field_base_dtype(self.program, field)
-                    _eval(expr, env, ctx)
-                ctx.label = None
+            return None
+        A = None
+        if self.seeds is not None and self.model is not None:
+            A = self._accumulate(self.ranges, ctx)
+        if A is not None:
+            for field, r in A.items():
+                if self.program.reduce_ops.get(field) == "add":
+                    ctx.label = field_dtype(self.program.vertex_dtype, field)
+                    ctx.ops.append((ctx.label, "accumulate", r.lo, r.hi))
+            final_exprs, _updated, local, old = self.model
+            env = {(local, f): r for f, r in A.items()}
+            env.update({(old, f): r for f, r in self.ranges.items()})
+            for field, expr in final_exprs.items():
+                ctx.label = field_dtype(self.program.vertex_dtype, field)
+                _eval(expr, env, ctx)
+            ctx.label = None
+        return ctx
+
+    @staticmethod
+    def _unmodeled(code: str, ctx: _Ctx) -> CheckResult | None:
         if ctx.div_nodes:
             return CheckResult(
                 code, UNKNOWN, "static",
@@ -1317,6 +1257,24 @@ class _Analysis:
                 code, UNKNOWN, "static",
                 f"unmodeled expression: {ctx.unresolved[0]}",
             )
+        return None
+
+    def check_overflow(self) -> CheckResult:
+        """W501 — no evaluated op can wrap or saturate its field dtype."""
+        code = "W501"
+        if not self.derived:
+            return CheckResult(
+                code, UNKNOWN, "static",
+                "no invariant ranges derived to evaluate ops under",
+            )
+        ctx = self._evaluate()
+        if ctx is None:
+            return CheckResult(
+                code, UNKNOWN, "static", "messages not modelable"
+            )
+        unmodeled = self._unmodeled(code, ctx)
+        if unmodeled is not None:
+            return unmodeled
         checked = 0
         for dtype, op, lo, hi in ctx.ops:
             if dtype is None:
@@ -1350,48 +1308,27 @@ class _Analysis:
     def check_nonfinite(self, w501: CheckResult) -> CheckResult:
         """W502 — float kernels cannot produce NaN/Inf from finite input."""
         code = "W502"
-        program = self.program
-        float_fields = []
-        for attr in ("vertex_dtype", "static_dtype", "edge_dtype"):
-            dt = getattr(program, attr, None)
-            if dt is None:
-                continue
-            dt = np.dtype(dt)
-            float_fields += [
-                f for f in dt.names or () if dt[f].base.kind == "f"
-            ]
-        if not float_fields:
+        dtypes = [
+            np.dtype(dt) for dt in (
+                getattr(self.program, attr, None)
+                for attr in ("vertex_dtype", "static_dtype", "edge_dtype")
+            ) if dt is not None
+        ]
+        if not any(
+            field_dtype(dt, f).kind == "f" for dt in dtypes for f in dt.names or ()
+        ):
             return CheckResult(
                 code, PROVED, "static",
                 "integer-only program: no op can produce a non-finite value",
             )
-        ctx = _Ctx(self.facts)
         if not self.derived:
             return CheckResult(
                 code, UNKNOWN, "static",
                 "no invariant ranges derived to bound float ops under",
             )
-        self._message_ranges(self.ranges, ctx)
-        seeds = self._seed_exprs()
-        parts = self._apply_parts()
-        if seeds is not None and parts is not None:
-            A = self._accumulate(self.ranges, seeds, ctx)
-            final_exprs, _updated, local, old = parts
-            if A is not None:
-                env = {(local, f): r for f, r in A.items()}
-                env.update({(old, f): r for f, r in self.ranges.items()})
-                for expr in final_exprs.values():
-                    _eval(expr, env, ctx)
-        if ctx.div_nodes:
-            return CheckResult(
-                code, UNKNOWN, "static",
-                "division with a possibly-zero denominator range",
-            )
-        if ctx.unresolved:
-            return CheckResult(
-                code, UNKNOWN, "static",
-                f"unmodeled expression: {ctx.unresolved[0]}",
-            )
+        unmodeled = self._unmodeled(code, self._evaluate() or _Ctx())
+        if unmodeled is not None:
+            return unmodeled
         if w501.status == REFUTED:
             return CheckResult(
                 code, UNKNOWN, "static",
@@ -1421,17 +1358,14 @@ class _Analysis:
         tol = float(getattr(program, "tolerance", 0.0) or 0.0)
         bound_fn = None
         why = ""
-        if ops and ops <= {"min", "max"} and self.cert.proved("C403"):
-            dest_dep, _ = _c._dest_dependence(
-                program, self.low.get("compute"), self.low.get("messages")
+        if ops and ops <= {"min", "max"} and self.cert.proved("C403") \
+                and self.source_only:
+            bound_fn = lambda n: n + 1  # noqa: E731
+            why = (
+                "monotone min/max lattice: every improvement follows a "
+                "simple path, so V sweeps reach the fixpoint and one "
+                "more detects it"
             )
-            if dest_dep is False:
-                bound_fn = lambda n: n + 1  # noqa: E731
-                why = (
-                    "monotone min/max lattice: every improvement follows a "
-                    "simple path, so V sweeps reach the fixpoint and one "
-                    "more detects it"
-                )
         if bound_fn is None and ops == {"add"} and tol > 0.0 and self.derived:
             spans = [
                 r.hi - r.lo for r in self.ranges.values()
@@ -1463,11 +1397,11 @@ class _Analysis:
         """Drive the scalar kernels on the tiny falsifier fixture and
         compare observed sweeps against the bound recomputed for it."""
         try:
-            graph, values, statics, edges = _c._tiny_setup(self.program)
+            graph, values, statics, edges = tiny_setup(self.program)
         except Exception as exc:
             return None, f"cross-check skipped ({exc!r})"
         tiny_bound = bound_fn(graph.num_vertices)
-        budget = min(tiny_bound, _c._FALSIFY_MAX_SWEEPS)
+        budget = min(tiny_bound, FALSIFY_MAX_SWEEPS)
         observed = None
         with np.errstate(all="ignore"):
             for sweep in range(budget):
@@ -1482,7 +1416,7 @@ class _Analysis:
                 f"{graph.num_vertices}-vertex fixture, within its bound "
                 f"{tiny_bound}"
             )
-        if tiny_bound <= _c._FALSIFY_MAX_SWEEPS:
+        if tiny_bound <= FALSIFY_MAX_SWEEPS:
             return False, (
                 f"cross-check refuted the bound: no fixpoint within "
                 f"{tiny_bound} sweeps on a {graph.num_vertices}-vertex "
@@ -1550,7 +1484,7 @@ class _Analysis:
 def _observe_sweeps(program, *, track_nonfinite: bool = False):
     """Run the scalar kernels on the tiny fixture, recording per-field
     observed hulls; returns (hulls, saw_nonfinite, quiesced)."""
-    graph, values, statics, edges = _c._tiny_setup(program)
+    graph, values, statics, edges = tiny_setup(program)
     hulls: dict[str, FieldRange] = {}
     saw_nonfinite = False
     quiesced = False
@@ -1574,7 +1508,7 @@ def _observe_sweeps(program, *, track_nonfinite: bool = False):
     # are the expected signal, not noise worth surfacing.
     with np.errstate(all="ignore"):
         saw_nonfinite |= record()
-        for _sweep in range(_c._FALSIFY_MAX_SWEEPS):
+        for _sweep in range(FALSIFY_MAX_SWEEPS):
             updates = vertex_sweep(program, graph, values, statics, edges)
             saw_nonfinite |= record()
             if updates == 0:
@@ -1590,8 +1524,6 @@ def _describe_hulls(hulls: dict) -> str:
 
 
 def _falsify_ranges(code: str, program) -> tuple[str, str]:
-    rng = np.random.default_rng(_c._FALSIFY_SEED)
-    del rng  # the sweep fixture is already deterministic; kept for parity
     try:
         if code == "W501":
             hulls, _, _ = _observe_sweeps(program)
@@ -1617,7 +1549,7 @@ def _falsify_ranges(code: str, program) -> tuple[str, str]:
                     "certify against"
                 )
             return UNKNOWN, (
-                f"no fixpoint within {_c._FALSIFY_MAX_SWEEPS} sweeps on "
+                f"no fixpoint within {FALSIFY_MAX_SWEEPS} sweeps on "
                 "the falsification fixture"
             )
         if code == "W504":
@@ -1652,23 +1584,11 @@ def _analyze(program, graph, cert, bounds, fingerprint) -> RangesCertificate:
         analysis.check_termination(),
         analysis.check_invariants(w501),
     ]
-    final = []
-    for check in checks:
-        if check.status == UNKNOWN:
-            status, note = _falsify_ranges(check.code, program)
-            if status == REFUTED:
-                check = CheckResult(check.code, REFUTED, "falsifier", note)
-            else:
-                check = CheckResult(
-                    check.code, UNKNOWN, "falsifier",
-                    f"{check.detail}; {note}",
-                )
-        final.append(check)
     ranges = analysis.ranges_tuple() if analysis.derived else ()
     return RangesCertificate(
         program=str(getattr(program, "name", type(program).__name__)),
         fingerprint=fingerprint,
-        checks=tuple(final),
+        checks=falsify_unknowns(checks, _falsify_ranges, program),
         ranges=ranges,
         bounds=bounds.key(),
     )
@@ -1711,20 +1631,9 @@ def ranges_violations(program, graph, *, cache=None) -> list[Violation]:
     REFUTED checks are errors (the kernel is provably unsafe for this
     graph's bounds); UNKNOWN checks are warnings.
     """
-    cert = analyze_ranges(program, graph, cache=cache)
-    out = []
-    for code, status in cert.failed:
-        check = cert.result(code)
-        detail = f" ({check.detail})" if check and check.detail else ""
-        out.append(
-            Violation(
-                code=code,
-                message=f"range certificate {code} is {status}{detail}",
-                subject=cert.program,
-                severity="error" if status == REFUTED else "warning",
-            )
-        )
-    return out
+    return analyze_ranges(program, graph, cache=cache).violations(
+        "range certificate", refuted="error"
+    )
 
 
 #: narrowing candidates per signedness, smallest first.
@@ -1747,7 +1656,7 @@ def narrowing_plan(cert: RangesCertificate, program) -> dict[str, np.dtype]:
     names = getattr(program, "vertex_dtype", None)
     names = names.names if names is not None else ()
     for field in names or ():
-        base = _c._field_base_dtype(program, field)
+        base = field_dtype(program.vertex_dtype, field)
         if base.kind not in "ui":
             continue
         if program.reduce_ops.get(field) not in (None, "min", "max"):
