@@ -86,10 +86,11 @@ def uint32_weights(weights: np.ndarray, program: str) -> np.ndarray:
                 f"{program} needs finite edge weights in "
                 f"[0, {int(UINT_INF)}], found range [{lo}, {hi}]"
             )
-        fractional = weights != np.trunc(weights)
-        if fractional.any():
-            raise GraphFormatError(
-                f"{program} needs integral edge weights, found "
-                f"{float(weights[fractional][0])}"
-            )
-    return weights.astype(np.uint32)
+    out = weights.astype(np.uint32)
+    fractional = out != weights
+    if fractional.any():
+        raise GraphFormatError(
+            f"{program} needs integral edge weights, found "
+            f"{float(weights[fractional][0])}"
+        )
+    return out
