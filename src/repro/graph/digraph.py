@@ -110,7 +110,9 @@ class DiGraph:
         """
         edge_list = list(edges)
         if edge_list:
-            arr = np.asarray(edge_list, dtype=np.int64)
+            arr = np.asarray(edge_list)
+            if arr.dtype.kind != "f":  # floats stay, so a fraction is refused
+                arr = arr.astype(np.int64, copy=False)
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise ValueError("edges must be (src, dst) pairs")
             src, dst = arr[:, 0], arr[:, 1]

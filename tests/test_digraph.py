@@ -53,6 +53,10 @@ class TestConstruction:
         with pytest.raises(GraphFormatError, match="whole numbers"):
             DiGraph(np.array([0, 1]), np.array([1.0, bad]), 3)
 
+    def test_from_edges_rejects_fractional_endpoints(self):
+        with pytest.raises(GraphFormatError, match="whole numbers"):
+            DiGraph.from_edges([(0.5, 1), (1, 2)])
+
     def test_integral_float_endpoints_cast_exactly(self):
         g = DiGraph(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 3)
         assert g.src.tolist() == [0, 1] and g.dst.tolist() == [1, 2]
