@@ -24,6 +24,7 @@ graph).
 
 from __future__ import annotations
 
+import inspect
 import operator
 
 import numpy as np
@@ -55,16 +56,26 @@ __all__ = [
     "default_source",
 ]
 
-PROGRAM_NAMES: tuple[str, ...] = (
-    "bfs",
-    "sssp",
-    "pr",
-    "cc",
-    "sswp",
-    "nn",
-    "hs",
-    "cs",
-)
+#: ``make_program`` key -> program class, in the paper's Table 3 order.
+_PROGRAMS: dict[str, type[VertexProgram]] = {
+    "bfs": BFS,
+    "sssp": SSSP,
+    "pr": PageRank,
+    "cc": ConnectedComponents,
+    "sswp": SSWP,
+    "nn": NeuralNetwork,
+    "hs": HeatSimulation,
+    "cs": CircuitSimulation,
+}
+
+PROGRAM_NAMES: tuple[str, ...] = tuple(_PROGRAMS)
+
+#: Keyword arguments each program's constructor takes, read once here so
+#: ``make_program`` (called per service job) does no signature work.
+_KEYWORDS: dict[str, frozenset[str]] = {
+    key: frozenset(inspect.signature(cls).parameters)
+    for key, cls in _PROGRAMS.items()
+}
 
 
 def default_source(graph: DiGraph) -> int:
@@ -99,26 +110,26 @@ def make_program(name: str, graph: DiGraph, **kwargs) -> VertexProgram:
     :func:`default_source`; Circuit Simulation defaults to pinning the
     highest out-degree vertex at 1 V and vertex ``n - 1`` at 0 V.  A
     seeded vertex outside ``[0, n)`` raises
-    :class:`~repro.errors.ConfigError` naming ``source`` or ``sources``.
+    :class:`~repro.errors.ConfigError` naming ``source`` or ``sources``,
+    and so does a keyword the program's constructor does not take (e.g.
+    ``source`` for ``pr``), naming that keyword.
     """
     key = name.lower()
-    if key in ("bfs", "sssp", "sswp"):
+    if key not in _PROGRAMS:
+        raise ProgramKeyError(
+            f"unknown program {name!r}; known: {', '.join(PROGRAM_NAMES)}"
+        )
+    for knob in kwargs:
+        if knob not in _KEYWORDS[key]:
+            takes = ", ".join(sorted(_KEYWORDS[key])) or "none"
+            raise ConfigError(
+                f"program {key!r} takes no {knob!r} argument (it takes: "
+                f"{takes})",
+                knob=knob,
+            )
+    if "source" in _KEYWORDS[key]:
         kwargs.setdefault("source", default_source(graph))
         _check_vertex(graph, "source", kwargs["source"])
-    if key == "bfs":
-        return BFS(**kwargs)
-    if key == "sssp":
-        return SSSP(**kwargs)
-    if key == "pr":
-        return PageRank(**kwargs)
-    if key == "cc":
-        return ConnectedComponents(**kwargs)
-    if key == "sswp":
-        return SSWP(**kwargs)
-    if key == "nn":
-        return NeuralNetwork(**kwargs)
-    if key == "hs":
-        return HeatSimulation(**kwargs)
     if key == "cs":
         kwargs.setdefault(
             "sources",
@@ -129,7 +140,4 @@ def make_program(name: str, graph: DiGraph, **kwargs) -> VertexProgram:
         )
         for vertex, _ in kwargs["sources"]:
             _check_vertex(graph, "sources", vertex)
-        return CircuitSimulation(**kwargs)
-    raise ProgramKeyError(
-        f"unknown program {name!r}; known: {', '.join(PROGRAM_NAMES)}"
-    )
+    return _PROGRAMS[key](**kwargs)

@@ -49,11 +49,14 @@ Commands
     quota rejection and cost-budget load-shedding.  The CI smoke
     (``make serve-smoke``).  See ``docs/service.md``.
 
-All gates share the exit-code convention: **0** — every check passed;
-**1** — at least one error-severity violation (the gate failed); **2** —
-the gate could not run at all (usage error, missing baseline file).
-Uncaught :class:`repro.errors.ReproError` subclasses also exit **2**:
-they mean the request was unserviceable, not that a gate failed.
+All commands share the exit-code convention: **0** — every check
+passed; **1** — at least one error-severity violation (the gate failed);
+**2** — the command could not run at all: a usage error (an unknown graph
+name, a bad R-MAT size, an unknown chaos engine, incompatible flags such
+as ``trace --format chrome --check``), a malformed graph file, or a
+missing baseline.  Argparse reports the usage errors it can see itself;
+every other refusal is a :class:`repro.errors.ReproError`, which
+``main()`` prints as ``repro: <message>``.
 
 Examples
 --------
@@ -79,7 +82,7 @@ import sys
 import numpy as np
 
 from repro.algorithms import PROGRAM_NAMES, make_program
-from repro.errors import ReproError
+from repro.errors import GraphFormatError, ReproError
 from repro.graph import generators, suite
 from repro.graph.csr import CSR
 from repro.graph.cw import ConcatenatedWindows
@@ -135,12 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="run with tracing attached and export the trace"
     )
-    trace.add_argument(
-        "--graph",
-        default="rmat",
-        help="a Table-1 suite name, 'rmat' (a tiny default R-MAT), or an "
-        "explicit VxE R-MAT size like 4096x32768",
-    )
+    _add_named_graph_args(trace, "4096x32768")
     trace.add_argument("--program", default="sssp", choices=PROGRAM_NAMES)
     trace.add_argument("--engine", default="cusha-cw",
                        help="any make_engine key (cusha-cw, vwc-8, ...)")
@@ -156,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="source vertex for BFS/SSSP/SSWP")
     trace.add_argument("--max-iterations", type=int, default=10_000)
     trace.add_argument("--shard-size", type=int, default=None)
-    trace.add_argument("--scale", type=int, default=None,
-                       help="scale divisor for suite graphs")
-    trace.add_argument("--seed", type=int, default=1, help="R-MAT seed")
 
     check = sub.add_parser(
         "check", help="lint programs and validate representations"
@@ -167,12 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--program", action="append", choices=PROGRAM_NAMES, default=None,
         help="program to check (repeatable; default: all bundled programs)",
     )
-    check.add_argument(
-        "--graph",
-        default="rmat",
-        help="a Table-1 suite name, 'rmat' (a small default R-MAT), or an "
-        "explicit VxE size like 1024x8192",
-    )
+    _add_named_graph_args(check, "1024x8192")
     check.add_argument(
         "--level", default="full", choices=("structure", "full"),
         help="'structure' = lint + invariants; 'full' adds the simulated-"
@@ -180,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--shard-size", type=int, default=None,
                        help="override the auto-selected |N|")
-    check.add_argument("--scale", type=int, default=None,
-                       help="scale divisor for suite graphs")
-    check.add_argument("--seed", type=int, default=1, help="R-MAT seed")
     check.add_argument(
         "--selftest", action="store_true",
         help="also assert every rule fires on the broken fixtures",
@@ -291,58 +278,72 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1, help="seed for --rmat")
 
 
+def _add_named_graph_args(p: argparse.ArgumentParser, rmat: str) -> None:
+    p.add_argument(
+        "--graph",
+        default="rmat",
+        help=f"a Table-1 suite name, 'rmat' (a {rmat} R-MAT), or an "
+        "explicit VxE R-MAT size like 4096x32768",
+    )
+    p.add_argument("--scale", type=int, default=None,
+                   help="scale divisor for suite graphs")
+    p.add_argument("--seed", type=int, default=1, help="R-MAT seed")
+    p.set_defaults(rmat=rmat, edges=None, npz=None)
+
+
 def _load_graph(args) -> DiGraph:
-    # A malformed graph file raises GraphFormatError, which main()
-    # reports with exit code 2 (unserviceable request) — the message
-    # already carries path:line context.
-    if args.graph:
-        return suite.load(args.graph, args.scale)
+    """Resolve the graph of ``run``, ``info``, ``trace`` and ``check``.
+
+    ``--graph`` names a Table-1 suite analog; on ``trace`` and ``check``
+    it may also be ``rmat`` (the command's default ``args.rmat`` size) or
+    an explicit ``VxE`` R-MAT size.  An unknown name, a bad size and a
+    malformed graph file raise :class:`~repro.errors.GraphFormatError`,
+    which ``main()`` reports with exit code 2.
+    """
     if args.edges:
         return load_edge_list(args.edges)
     if args.npz:
         return load_npz(args.npz)
+    if args.graph in suite.graph_names():
+        return suite.load(args.graph, args.scale)
+    size = args.rmat if args.graph in (None, "rmat") else args.graph
     try:
-        v, e = (int(x) for x in args.rmat.lower().split("x"))
+        v, e = (int(x) for x in size.lower().split("x"))
+        if v <= 0 or e < 0:
+            raise ValueError(size)
     except ValueError:
-        from repro.errors import GraphFormatError
-
         raise GraphFormatError(
-            f"bad --rmat size {args.rmat!r}; expected VxE, e.g. 4096x32768",
-            path="<args>",
+            f"unknown graph {size!r}; expected a suite name "
+            f"({', '.join(suite.graph_names())}), 'rmat', or an R-MAT "
+            "size VxE such as 4096x32768"
         ) from None
     return generators.random_weights(
         generators.rmat(v, e, seed=args.seed), seed=args.seed + 1
     )
 
 
-def _make_engine(key: str, shard_size: int | None):
-    """CLI wrapper over :func:`repro.frameworks.make_engine`.
+def _run_program(args, tracer=None):
+    """Run ``args.program`` on ``args.engine`` over the command's graph and
+    print the header ``run`` and ``trace`` share.
 
-    An unknown key raises :class:`~repro.errors.EngineKeyError`, which
-    ``main()`` reports with exit code 2 (unserviceable request).
+    Returns ``(graph, result)``.
     """
-    from repro.frameworks import make_engine
-
-    return make_engine(key, shard_size=shard_size)
-
-
-def _cmd_run(args) -> int:
-    from repro.frameworks import RunConfig
+    from repro.frameworks import RunConfig, make_engine
 
     graph = _load_graph(args)
-    kwargs = {}
-    if args.source is not None and args.program in ("bfs", "sssp", "sswp"):
-        kwargs["source"] = args.source
+    kwargs = {} if args.source is None else {"source": args.source}
     program = make_program(args.program, graph, **kwargs)
-    engine = _make_engine(args.engine, args.shard_size)
-    result = engine.run(
-        graph,
-        program,
-        config=RunConfig(max_iterations=args.max_iterations, allow_partial=True),
-    )
+    engine = make_engine(args.engine, shard_size=args.shard_size)
+    config = RunConfig(max_iterations=args.max_iterations, allow_partial=True)
+    result = engine.run(graph, program, config=config, tracer=tracer)
     print(f"graph   : {graph}")
     print(f"engine  : {result.engine}")
     print(f"program : {result.program}")
+    return graph, result
+
+
+def _cmd_run(args) -> int:
+    _, result = _run_program(args)
     status = "converged" if result.converged else "NOT converged (capped)"
     print(f"status  : {status} after {result.iterations} iterations")
     print(
@@ -370,7 +371,7 @@ def _cmd_info(args) -> int:
     print(f"graph        : {graph}")
     print(f"avg degree   : {graph.average_degree():.3f}")
     plan = select_shard_size(graph)
-    n = args.shard_size or plan.vertices_per_shard
+    n = plan.vertices_per_shard if args.shard_size is None else args.shard_size
     print(
         f"auto |N|     : {plan.vertices_per_shard} "
         f"({plan.num_shards} shards, expected window "
@@ -425,54 +426,14 @@ def _cmd_experiments(args) -> int:
     return 0
 
 
-_DEFAULT_TRACE_RMAT = "4096x32768"
-
-
-def _trace_graph(args) -> DiGraph:
-    """Resolve the trace subcommand's free-form ``--graph`` value."""
-    name = args.graph
-    if name in suite.graph_names():
-        return suite.load(name, args.scale)
-    if name == "rmat":
-        name = _DEFAULT_TRACE_RMAT
-    try:
-        v, e = (int(x) for x in name.lower().split("x"))
-    except ValueError:
-        raise SystemExit(
-            f"unknown graph {args.graph!r}: expected a suite name "
-            f"({', '.join(suite.graph_names())}), 'rmat', or VxE"
-        ) from None
-    return generators.random_weights(
-        generators.rmat(v, e, seed=args.seed), seed=args.seed + 1
-    )
-
-
 def _cmd_trace(args) -> int:
-    from repro.frameworks import RunConfig
     from repro.telemetry import (Tracer, validate_jsonl, write_chrome_trace,
                                  write_jsonl)
 
-    graph = _trace_graph(args)
-    kwargs = {}
-    if args.source is not None and args.program in ("bfs", "sssp", "sswp"):
-        kwargs["source"] = args.source
-    program = make_program(args.program, graph, **kwargs)
-    engine = _make_engine(args.engine, args.shard_size)
     tracer = Tracer()
-    result = engine.run(
-        graph,
-        program,
-        config=RunConfig(
-            max_iterations=args.max_iterations,
-            allow_partial=True,
-            tracer=tracer,
-        ),
-    )
+    graph, result = _run_program(args, tracer)
     kinds = {k: len(tracer.find(kind=k)) for k in ("run", "iteration",
                                                    "stage", "transfer")}
-    print(f"graph   : {graph}")
-    print(f"engine  : {result.engine}")
-    print(f"program : {result.program}")
     print(
         f"trace   : {len(tracer)} spans "
         f"({kinds['iteration']} iterations, {kinds['stage']} stages, "
@@ -496,9 +457,6 @@ def _cmd_trace(args) -> int:
         write_chrome_trace(tracer, chrome_out)
         print(f"chrome  : {chrome_out}")
     if args.check:
-        if args.format == "chrome":
-            raise SystemExit("--check validates the JSONL format; use "
-                             "--format jsonl or both")
         errors = validate_jsonl(out)
         if errors:
             for err in errors:
@@ -508,38 +466,18 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-_DEFAULT_CHECK_RMAT = "1024x8192"
-
-
-def _check_graph(args) -> DiGraph:
-    """Resolve ``check``'s ``--graph`` (same grammar as ``trace``'s)."""
-    name = args.graph
-    if name in suite.graph_names():
-        return suite.load(name, args.scale)
-    if name == "rmat":
-        name = _DEFAULT_CHECK_RMAT
-    try:
-        v, e = (int(x) for x in name.lower().split("x"))
-    except ValueError:
-        raise SystemExit(
-            f"unknown graph {args.graph!r}: expected a suite name "
-            f"({', '.join(suite.graph_names())}), 'rmat', or VxE"
-        ) from None
-    return generators.random_weights(
-        generators.rmat(v, e, seed=args.seed), seed=args.seed + 1
-    )
-
-
 def _cmd_check(args) -> int:
     import json
 
     from repro.analysis import (lint_program, order_sensitivity_check,
                                 stage_discipline_check, validate_structure)
 
-    as_json = getattr(args, "format", "text") == "json"
+    as_json = args.format == "json"
     echo = (lambda *a, **k: None) if as_json else print
-    graph = _check_graph(args)
-    plan_n = args.shard_size or select_shard_size(graph).vertices_per_shard
+    graph = _load_graph(args)
+    plan_n = args.shard_size
+    if plan_n is None:
+        plan_n = select_shard_size(graph).vertices_per_shard
     echo(f"graph   : {graph}")
     echo(f"level   : {args.level}  (|N| = {plan_n})")
 
@@ -572,11 +510,20 @@ def _cmd_check(args) -> int:
             violations += order_sensitivity_check(graph, program, iterations=2)
         tally(name, violations)
 
-    certify = None
-    if getattr(args, "certify", False):
+    reports = {}
+    if args.certify or args.ranges:
         from repro.analysis.certify import certify_program
+        from repro.analysis.ranges import analyze_ranges, narrowing_plan
         from repro.service.batching import (MultiSourceTraversal,
                                             TRAVERSAL_SPECS)
+
+        def certify(program):
+            return certify_program(program, cache=False), None
+
+        def ranges(program):
+            cert = analyze_ranges(program, graph, cache=False)
+            plan = narrowing_plan(cert, program)
+            return cert, {field: str(dt) for field, dt in sorted(plan.items())}
 
         targets = [make_program(name, graph)
                    for name in (args.program or PROGRAM_NAMES)]
@@ -585,49 +532,28 @@ def _cmd_check(args) -> int:
             # the same engines; certify them alongside the bundled eight.
             targets += [MultiSourceTraversal(spec, (0, 1, 2, 3))
                         for spec in TRAVERSAL_SPECS.values()]
-        certify = []
-        echo("certify : C401-C406 kernel certificates")
-        for program in targets:
-            cert = certify_program(program, cache=False)
-            echo(f"  {cert.program:12s} "
-                 + " ".join(f"{c.code}={c.status}" for c in cert.checks))
-            for c in cert.checks:
-                errors += c.status == "REFUTED"
-                warnings += c.status == "UNKNOWN"
-            certify.append(cert.to_dict())
-
-    ranges = None
-    if getattr(args, "ranges", False):
-        from repro.analysis.ranges import analyze_ranges, narrowing_plan
-        from repro.service.batching import (MultiSourceTraversal,
-                                            TRAVERSAL_SPECS)
-
-        targets = [make_program(name, graph)
-                   for name in (args.program or PROGRAM_NAMES)]
-        if args.program is None:
-            targets += [MultiSourceTraversal(spec, (0, 1, 2, 3))
-                        for spec in TRAVERSAL_SPECS.values()]
-        ranges = []
-        echo("ranges  : W501-W504 range certificates")
-        for program in targets:
-            cert = analyze_ranges(program, graph, cache=False)
-            plan = narrowing_plan(cert, program)
-            suffix = ""
-            if plan:
-                suffix = "  narrow " + " ".join(
-                    f"{field}->{dt}" for field, dt in sorted(plan.items())
-                )
-            echo(f"  {cert.program:12s} "
-                 + " ".join(f"{c.code}={c.status}" for c in cert.checks)
-                 + suffix)
-            for c in cert.checks:
-                errors += c.status == "REFUTED"
-                warnings += c.status == "UNKNOWN"
-            entry = cert.to_dict()
-            entry["narrowing_plan"] = {
-                field: str(dt) for field, dt in sorted(plan.items())
-            }
-            ranges.append(entry)
+        for kind, title, analyze in (
+            ("certify", "C401-C406 kernel certificates", certify),
+            ("ranges", "W501-W504 range certificates", ranges),
+        ):
+            if not getattr(args, kind):
+                continue
+            echo(f"{kind:8s}: {title}")
+            rows = reports[kind] = []
+            for program in targets:
+                cert, plan = analyze(program)
+                narrow = " ".join(f"{field}->{dt}"
+                                  for field, dt in (plan or {}).items())
+                echo(f"  {cert.program:12s} "
+                     + " ".join(f"{c.code}={c.status}" for c in cert.checks)
+                     + (f"  narrow {narrow}" if narrow else ""))
+                for c in cert.checks:
+                    errors += c.status == "REFUTED"
+                    warnings += c.status == "UNKNOWN"
+                entry = cert.to_dict()
+                if plan is not None:
+                    entry["narrowing_plan"] = plan
+                rows.append(entry)
 
     selftest = None
     if args.selftest:
@@ -651,10 +577,7 @@ def _cmd_check(args) -> int:
             "warnings": warnings,
             "violations": record,
         }
-        if certify is not None:
-            payload["certify"] = certify
-        if ranges is not None:
-            payload["ranges"] = ranges
+        payload.update(reports)
         if selftest is not None:
             payload["selftest"] = selftest
         print(json.dumps(payload, indent=2))
@@ -738,6 +661,7 @@ def _cmd_perfgate(args) -> int:
     import json
 
     from repro.analysis import perf
+    from repro.frameworks import make_engine
     from repro.telemetry.tracer import Tracer
 
     as_json = args.format == "json"
@@ -754,7 +678,7 @@ def _cmd_perfgate(args) -> int:
         graph = generators.random_weights(
             generators.rmat(v, e, seed=1), seed=2)
         for key in _PERFGATE_ENGINES:
-            engine = _make_engine(key, None)
+            engine = make_engine(key)
             program = make_program(_PERFGATE_PROGRAM, graph)
             violations += perf.perf_audit(engine, graph, program)
             rep = perf.drift_gate(engine, graph, program,
@@ -989,17 +913,9 @@ def _cmd_serve(args) -> int:
 def _cmd_chaos(args) -> int:
     import json
 
-    from repro.resilience import CHAOS_ENGINES, run_campaign
+    from repro.resilience import run_campaign
 
-    engines = tuple(args.engine) if args.engine else None
-    if engines:
-        unknown = [e for e in engines if e not in CHAOS_ENGINES]
-        if unknown:
-            raise SystemExit(
-                f"unknown chaos engine(s) {unknown}: expected a subset of "
-                f"{CHAOS_ENGINES}"
-            )
-    report = run_campaign(args.campaign, seed=args.seed, engines=engines)
+    report = run_campaign(args.campaign, seed=args.seed, engines=args.engine)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
         return 0 if report.passed else 1
@@ -1021,35 +937,35 @@ def _cmd_chaos(args) -> int:
     return 0 if report.passed else 1
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "info": _cmd_info,
+    "experiments": _cmd_experiments,
+    "trace": _cmd_trace,
+    "check": _cmd_check,
+    "perfgate": _cmd_perfgate,
+    "serve": _cmd_serve,
+    "chaos": _cmd_chaos,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "trace" and args.check and args.format == "chrome":
+        parser.error("trace --check validates the JSONL format; use "
+                     "--format jsonl or both")
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "info":
-            return _cmd_info(args)
-        if args.command == "experiments":
-            return _cmd_experiments(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "perfgate":
-            return _cmd_perfgate(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "chaos":
-            return _cmd_chaos(args)
+        return _COMMANDS[args.command](args)
     except BrokenPipeError:  # e.g. `python -m repro ... | head`
         return 0
     except ReproError as exc:
         # The documented mapping (docs/service.md): a repro-defined error
-        # means the request was unserviceable — unknown engine, malformed
-        # graph, quota refusal — which is "could not run" (2), not a
-        # failed gate (1).
+        # means the request was unserviceable — unknown graph or engine,
+        # malformed graph, quota refusal — which is "could not run" (2),
+        # not a failed gate (1).
         print(f"repro: {exc}", file=sys.stderr)
         return 2
-    raise SystemExit(2)  # pragma: no cover - argparse guards this
 
 
 if __name__ == "__main__":  # pragma: no cover

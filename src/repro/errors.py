@@ -126,9 +126,11 @@ class ConfigError(ReproError, ValueError):
     """Raised by :class:`repro.frameworks.RunConfig` at construction when a
     knob value is out of range or two knobs are statically incompatible
     (e.g. a ``resume`` checkpoint at or past ``max_iterations``,
-    ``certify="enforce"`` with ``validate="off"``), and by
+    ``certify="enforce"`` with ``validate="off"``), by
     :func:`repro.algorithms.make_program` for a seeded vertex outside the
-    graph.
+    graph or a keyword the program does not take, by
+    :mod:`repro.resilience.chaos` for an unknown campaign or engine, and
+    by :func:`repro.graph.suite.load` for a scale below 1.
 
     ``knob`` names the offending field (or the first field of an invalid
     pair, or the program argument) so callers can point at the right

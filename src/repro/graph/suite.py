@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
 
@@ -91,7 +92,7 @@ def load(name: str, scale: int | None = None, *, weighted: bool = True) -> DiGra
     if scale is None:
         scale = default_scale()
     if scale < 1:
-        raise ValueError("scale must be >= 1")
+        raise ConfigError(f"scale must be >= 1, got {scale}", knob="scale")
     n = max(64, entry.vertices // scale)
     m = max(64, entry.edges // scale)
     if entry.kind == "rmat":

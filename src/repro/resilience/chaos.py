@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms import make_program
+from repro.errors import ConfigError
 from repro.frameworks.base import RunConfig
 from repro.frameworks.registry import make_engine
 from repro.graph import generators
@@ -194,10 +195,47 @@ def build_plan(fault: str, engine: str, seed: int) -> FaultPlan:
     return FaultPlan([spec], seed=seed)
 
 
-def _campaign_graph(seed: int):
-    return generators.random_weights(
+def _prepare(campaign: str, seed: int, engines) -> tuple:
+    """Check one campaign request and set it up.
+
+    Returns ``(engines, graph, program, report)``: the engines to sweep,
+    the seeded graph and program, and the empty :class:`ChaosReport`.  An
+    unknown campaign or engine raises :class:`~repro.errors.ConfigError`
+    naming ``campaign`` or ``engines``.
+    """
+    if campaign not in CAMPAIGNS:
+        raise ConfigError(
+            f"unknown campaign {campaign!r}; expected one of "
+            f"{tuple(CAMPAIGNS)}",
+            knob="campaign",
+        )
+    engines = CHAOS_ENGINES if engines is None else tuple(engines)
+    unknown = [e for e in engines if e not in CHAOS_ENGINES]
+    if unknown:
+        raise ConfigError(
+            f"unknown chaos engine(s) {unknown}; expected a subset of "
+            f"{CHAOS_ENGINES}",
+            knob="engines",
+        )
+    graph = generators.random_weights(
         generators.rmat(_GRAPH_VERTICES, _GRAPH_EDGES, seed=seed),
         seed=seed + 1,
+    )
+    report = ChaosReport(
+        campaign=campaign,
+        seed=seed,
+        program=_PROGRAM,
+        graph=f"rmat-{_GRAPH_VERTICES}x{_GRAPH_EDGES}(seed={seed})",
+    )
+    return engines, graph, make_program(_PROGRAM, graph), report
+
+
+def _golden(key: str, graph, program):
+    """The fault-free reference run every campaign cell must match."""
+    return make_engine(key).run(
+        graph,
+        program,
+        config=RunConfig(max_iterations=_MAX_ITERATIONS, allow_partial=True),
     )
 
 
@@ -213,40 +251,12 @@ def run_campaign(
     The report never raises on a failed cell — callers (the CLI, the CI
     target) inspect :attr:`ChaosReport.passed` / :meth:`failures`.
     """
-    if campaign not in CAMPAIGNS:
-        raise ValueError(
-            f"unknown campaign {campaign!r}; expected one of "
-            f"{tuple(CAMPAIGNS)}"
-        )
     if campaign == "multi":
         return run_multi_device_campaign(
             seed=seed, engines=engines, checkpoint_every=checkpoint_every
         )
-    engines = CHAOS_ENGINES if engines is None else tuple(engines)
-    unknown = [e for e in engines if e not in CHAOS_ENGINES]
-    if unknown:
-        raise ValueError(
-            f"unknown chaos engine(s) {unknown}; expected a subset of "
-            f"{CHAOS_ENGINES}"
-        )
-    graph = _campaign_graph(seed)
-    program = make_program(_PROGRAM, graph)
-    report = ChaosReport(
-        campaign=campaign,
-        seed=seed,
-        program=_PROGRAM,
-        graph=f"rmat-{_GRAPH_VERTICES}x{_GRAPH_EDGES}(seed={seed})",
-    )
-    goldens = {
-        key: make_engine(key).run(
-            graph,
-            program,
-            config=RunConfig(
-                max_iterations=_MAX_ITERATIONS, allow_partial=True
-            ),
-        )
-        for key in engines
-    }
+    engines, graph, program, report = _prepare(campaign, seed, engines)
+    goldens = {key: _golden(key, graph, program) for key in engines}
     for key in engines:
         for fault in FAULT_CLASSES:
             for sub_seed in CAMPAIGNS[campaign]:
@@ -292,30 +302,11 @@ def run_multi_device_campaign(
     values — recovered-or-degraded must be 100%.
     """
     if devices < 2:
-        raise ValueError("multi-device campaign needs devices >= 2")
-    engines = CHAOS_ENGINES if engines is None else tuple(engines)
-    unknown = [e for e in engines if e not in CHAOS_ENGINES]
-    if unknown:
-        raise ValueError(
-            f"unknown chaos engine(s) {unknown}; expected a subset of "
-            f"{CHAOS_ENGINES}"
-        )
-    graph = _campaign_graph(seed)
-    program = make_program(_PROGRAM, graph)
-    report = ChaosReport(
-        campaign="multi",
-        seed=seed,
-        program=_PROGRAM,
-        graph=f"rmat-{_GRAPH_VERTICES}x{_GRAPH_EDGES}(seed={seed})",
-    )
+        raise ConfigError("multi-device campaign needs devices >= 2",
+                          knob="devices")
+    engines, graph, program, report = _prepare("multi", seed, engines)
     for key in engines:
-        golden = make_engine(key).run(
-            graph,
-            program,
-            config=RunConfig(
-                max_iterations=_MAX_ITERATIONS, allow_partial=True
-            ),
-        )
+        golden = _golden(key, graph, program)
         for boundary in range(1, golden.iterations + 1):
             plan = FaultPlan(
                 [FaultSpec(

@@ -99,6 +99,18 @@ class TestErrorConsolidation:
         assert isinstance(exc.value, KeyError)
         assert str(exc.value).startswith("unknown program 'nope'; known: ")
 
+    @pytest.mark.parametrize("kwargs, knob", [
+        ({"campaign": "hurricane"}, "campaign"),
+        ({"engines": ("warp9",)}, "engines"),
+        ({"campaign": "multi", "engines": ("warp9",)}, "engines"),
+    ])
+    def test_chaos_refusals_are_typed(self, kwargs, knob):
+        from repro.resilience import run_campaign
+
+        with pytest.raises(errors.ConfigError) as exc:
+            run_campaign(**kwargs)
+        assert exc.value.knob == knob
+
     @pytest.mark.parametrize("args", [
         ([[0]], [[1]], 2),            # not one-dimensional
         ([0, 1], [1], 2),             # unequal lengths
@@ -197,6 +209,32 @@ class TestCliExitCodes:
     def test_success_maps_to_0(self, capsys):
         assert cli.main(["run", "bfs", "--rmat", "64x256"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "pr", "--rmat", "bogus"],
+        ["run", "pr", "--rmat", "0x10"],
+        ["trace", "--graph", "bogus"],
+        ["trace", "--graph", "5x"],
+        ["check", "--graph", "bogus"],
+        ["chaos", "--engine", "bogus"],
+        ["trace", "--format", "chrome", "--check"],
+        ["run", "pr", "--rmat", "64x256", "--source", "3"],
+        ["run", "pr", "--graph", "amazon0312", "--scale", "0"],
+        ["info", "--rmat", "64x256", "--shard-size", "0"],
+        ["check", "--shard-size", "0"],
+    ])
+    def test_bad_input_maps_to_2(self, argv, capsys, tmp_path, monkeypatch):
+        # Refused before anything runs: a typed ReproError reported as
+        # ``repro: ...``, or an argparse usage error.
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") or err.startswith("usage: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestServiceGateContracts:

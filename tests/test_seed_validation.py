@@ -37,6 +37,15 @@ class TestMakeProgram:
             make_program("cs", graph, sources=((0, 1.0), (vertex, 0.0)))
         assert exc.value.knob == "sources"
 
+    @pytest.mark.parametrize("program, knob", [
+        ("pr", "source"), ("cc", "source"), ("bfs", "sources"),
+        ("sssp", "damping"),
+    ])
+    def test_stray_keyword_refused(self, graph, program, knob):
+        with pytest.raises(ConfigError) as exc:
+            make_program(program, graph, **{knob: 3})
+        assert exc.value.knob == knob
+
     def test_boundary_vertices_accepted(self, graph):
         assert make_program("bfs", graph, source=0).source == 0
         assert make_program("bfs", graph, source=49).source == 49
@@ -50,6 +59,11 @@ class TestRun:
     def test_large_source_is_a_typed_value_error(self, graph):
         with pytest.raises(ValueError, match="outside"):
             repro.run(graph, "bfs", source=60)
+
+    def test_stray_source_refused(self, graph):
+        with pytest.raises(ConfigError) as exc:
+            repro.run(graph, "pr", source=3)
+        assert exc.value.knob == "source"
 
     def test_cli_exits_2(self, capsys):
         rc = main(["run", "bfs", "--rmat", "200x1000", "--source", "5000"])
@@ -66,6 +80,9 @@ class TestService:
             handle = svc.submit(JobRequest(graph, "bfs", source=3))
             with pytest.raises(ConfigError):
                 svc.submit(JobRequest(graph, "bfs", source=60))
+            with pytest.raises(ConfigError) as exc:
+                svc.submit(JobRequest(graph, "pr", source=3))
+            assert exc.value.knob == "source"
             result = handle.result(timeout=60)
         solo = repro.run(graph, "bfs", source=3, cache=False)
         assert np.array_equal(result.values, solo.values)
