@@ -16,7 +16,8 @@ Key       Algorithm                             Vertex value
 ``cs``    Circuit Simulation (resistive)        ``v, gsum_or_a: float32``
 ========  ====================================  =========================
 
-:func:`make_program` builds a configured instance for a given graph;
+:func:`make_program` builds a configured instance for a given graph and
+:func:`rebuild_for` re-seeds an existing one for another graph;
 :func:`default_source` picks the traversal root the way the harness does
 (highest out-degree, so scale-free analogs traverse a large fraction of the
 graph).
@@ -53,6 +54,7 @@ __all__ = [
     "CircuitSimulation",
     "PROGRAM_NAMES",
     "make_program",
+    "rebuild_for",
     "default_source",
 ]
 
@@ -141,3 +143,28 @@ def make_program(name: str, graph: DiGraph, **kwargs) -> VertexProgram:
         for vertex, _ in kwargs["sources"]:
             _check_vertex(graph, "sources", vertex)
     return _PROGRAMS[key](**kwargs)
+
+
+#: Constructor arguments that name vertices of the graph a program was
+#: built for; :func:`rebuild_for` resets them to the new graph's defaults.
+_SEED_KNOBS = frozenset({"source", "sources"})
+
+
+def rebuild_for(program: VertexProgram, graph: DiGraph) -> VertexProgram:
+    """Bundled ``program`` rebuilt for ``graph``.
+
+    Its seed vertices (``source``, ``sources``) take ``graph``'s defaults,
+    as :func:`make_program` picks them; every other constructor argument
+    keeps its value.  A program that is not one of the bundled classes
+    raises :class:`~repro.errors.ProgramKeyError`.
+    """
+    key = getattr(program, "name", None)
+    if key not in _PROGRAMS or type(program) is not _PROGRAMS[key]:
+        raise ProgramKeyError(
+            f"cannot rebuild {type(program).__name__}: not a bundled program"
+        )
+    kwargs = {
+        knob: getattr(program, knob)
+        for knob in _KEYWORDS[key] - _SEED_KNOBS
+    }
+    return make_program(key, graph, **kwargs)

@@ -717,12 +717,17 @@ def dest_dependence(program, comp_low, msgs_low):
 # Falsification harness (UNKNOWN fallback; never proves)
 # ======================================================================
 
-def tiny_setup(program):
+def tiny_graph(program):
     from repro.graph import generators
 
     graph = generators.rmat(48, 192, seed=7)
     if program.edge_dtype is not None and graph.weights is None:
         graph = generators.random_weights(graph, low=1, high=8, seed=11)
+    return graph
+
+
+def tiny_setup(program):
+    graph = tiny_graph(program)
     return (graph, program.initial_values(graph),
             program.static_values(graph), program.edge_values(graph))
 

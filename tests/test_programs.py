@@ -16,8 +16,9 @@ from repro.algorithms import (
     PROGRAM_NAMES,
     default_source,
     make_program,
+    rebuild_for,
 )
-from repro.errors import GraphFormatError
+from repro.errors import GraphFormatError, ProgramKeyError
 from repro.graph import DiGraph
 from repro.vertexcentric.datatypes import UINT_INF, field_bytes, vertex_dtype
 from repro.vertexcentric.program import apply_reductions
@@ -244,6 +245,21 @@ class TestSetups:
     def test_make_program_unknown(self):
         with pytest.raises(KeyError):
             make_program("apsp", random_graph(0))
+
+    def test_rebuild_for_reseeds_and_keeps_other_arguments(self):
+        big = random_graph(13, n=200)
+        small = random_graph(14, n=20)
+        cs = rebuild_for(make_program("cs", big, tolerance=1e-5), small)
+        assert cs.sources == ((default_source(small), 1.0), (19, 0.0))
+        assert cs.tolerance == 1e-5
+        assert cs.initial_values(small).shape == (20,)
+
+    def test_rebuild_for_refuses_a_custom_program(self):
+        class Custom(BFS):
+            pass
+
+        with pytest.raises(ProgramKeyError):
+            rebuild_for(Custom(source=3), random_graph(15))
 
 
 class TestUnrepresentableWeights:
