@@ -525,20 +525,12 @@ def _drift_runner(engine):
     CuSha's stage-4 cost is dynamic (only updated shards write back), so
     the gate runs the engine's existing ``always_writeback`` ablation —
     values and iteration counts are unchanged, but every stage becomes a
-    full sweep the static model prices exactly.
+    full sweep the static model prices exactly.  The runner is a copy of
+    the engine, so every other constructor option carries over.
     """
     if isinstance(engine, CuShaEngine) and not engine.always_writeback:
-        return CuShaEngine(
-            engine.mode,
-            vertices_per_shard=engine.vertices_per_shard,
-            spec=engine.spec,
-            pcie=engine.pcie,
-            resident_blocks=engine.resident_blocks,
-            threads_per_block=engine.threads_per_block,
-            sync_mode=engine.sync_mode,
-            always_writeback=True,
-            cache=engine.cache,
-        )
+        engine = copy.copy(engine)
+        engine.always_writeback = True
     return engine
 
 
