@@ -86,6 +86,13 @@ perfgate-rebaseline:
 # Full local CI chain, in the order a reviewer would want failures surfaced.
 ci: lint test perfbench-test smoke-trace check certify ranges serve-smoke chaos-smoke chaos-multi perfgate
 
+# Regenerate every paper table and figure into benchmarks/results/ (the one
+# regenerator benchmarks/bench_experiments.py, a case per row of
+# repro.harness.experiments.EXPERIMENTS, plus their CSV series), time the
+# micro-benchmarks in benchmarks/bench_micro_kernels.py, and regenerate the
+# ablation and supplement tables.  REPRO_SCALE sets the graph scale
+# (default 100).  The paper's claims about the tables run in `make test`
+# (tests/test_paper_claims.py).
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 

@@ -5,20 +5,23 @@ large a graph the reproduction can price)."""
 import numpy as np
 
 from repro.algorithms import make_program
+from repro.frameworks.base import RunConfig
 from repro.frameworks.csrloop import CSRProblem, iterate_chunks
+from repro.frameworks.cusha import CuShaEngine
 from repro.frameworks.vwc import VWCEngine
+from repro.graph import suite
 from repro.graph.csr import CSR
 from repro.graph.cw import ConcatenatedWindows
+from repro.graph.properties import degree_distribution, window_size_histogram
 from repro.graph.shards import GShards
 from repro.gpu.memory import gather_transactions
+from repro.harness import experiments as E
 from repro.vertexcentric.program import apply_reductions
 
 from conftest import BENCH_SCALE
 
 
 def _graph():
-    from repro.graph import suite
-
     return suite.load("webgoogle", BENCH_SCALE)
 
 
@@ -74,3 +77,38 @@ def bench_reduction_application(benchmark):
         return apply_reductions(p, local, dest, msgs, mask)
 
     benchmark(run)
+
+
+def bench_build_livejournal_analog(benchmark):
+    suite.load.cache_clear()
+    benchmark.pedantic(
+        lambda: suite.load("livejournal", BENCH_SCALE), rounds=3, iterations=1
+    )
+
+
+def bench_cusha_cw_pagerank_run(benchmark, runner):
+    g = runner.graph("livejournal")
+    p = make_program("pr", g)
+    eng = CuShaEngine("cw", spec=runner.spec)
+    benchmark.pedantic(
+        lambda: eng.run(g, p, config=RunConfig(max_iterations=400, allow_partial=True)),
+        rounds=2,
+        iterations=1,
+    )
+
+
+def bench_window_histogram_kernel(benchmark):
+    g = E.rmat_graph(67, 8, BENCH_SCALE)
+    n = E.scaled_shard_size(3000, BENCH_SCALE)
+    sh = GShards(g, n)
+    benchmark(lambda: window_size_histogram(sh))
+
+
+def bench_degree_distribution_kernel(benchmark):
+    g = suite.load("livejournal", BENCH_SCALE)
+    benchmark(lambda: degree_distribution(g))
+
+
+def bench_build_representations(benchmark):
+    g = suite.load("webgoogle", BENCH_SCALE)
+    benchmark(lambda: ConcatenatedWindows.from_graph(g, 256))

@@ -1,13 +1,10 @@
-"""Shared fixtures for the benchmark regenerators.
+"""Shared fixtures for the benchmarks.
 
-Every paper table/figure has one ``bench_*.py`` file (see the
-per-experiment index in DESIGN.md).  Each file contains:
-
-- the *regenerator*: a ``benchmark.pedantic``-wrapped call into
-  :mod:`repro.harness.experiments` that produces the paper-style table,
-  prints it, and archives it under ``benchmarks/results/``;
-- where meaningful, *micro-benchmarks* of the underlying kernels with full
-  pytest-benchmark statistics.
+``bench_experiments.py`` regenerates every paper table and figure (the
+rows of :data:`repro.harness.experiments.EXPERIMENTS`) into
+``benchmarks/results/``; ``bench_micro_kernels.py`` times the simulator's
+hot kernels with full pytest-benchmark statistics; the other
+``bench_*.py`` files are ablations and the perfgate benchmark rows.
 
 Set ``REPRO_SCALE`` to trade fidelity for speed (default 100 = 1/100 of the
 paper's graph sizes; the grid run takes ~10 minutes at that scale).

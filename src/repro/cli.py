@@ -10,7 +10,8 @@ Commands
     Print representation statistics for a graph: CSR/G-Shards/CW sizes, the
     auto-selected |N|, window-size distribution summary.
 ``experiments``
-    Regenerate one (or all) of the paper's tables/figures.
+    Regenerate one (or all) of the paper's tables/figures: the rows of
+    :data:`repro.harness.experiments.EXPERIMENTS`, in table order.
 
 ``trace``
     Run one algorithm with a :class:`repro.telemetry.Tracer` attached and
@@ -91,14 +92,9 @@ from repro.graph.io import load_edge_list, load_npz
 from repro.graph.partition import select_shard_size
 from repro.graph.properties import window_size_stats
 from repro.graph.shards import GShards
+from repro.harness.experiments import EXPERIMENTS, experiment
 
 __all__ = ["main", "build_parser"]
-
-_EXPERIMENTS = (
-    "table1", "fig1", "table2", "table4", "table5", "table6", "table7",
-    "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -130,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--shard-size", type=int, default=None)
 
     exp = sub.add_parser("experiments", help="regenerate paper experiments")
-    exp.add_argument("which", choices=_EXPERIMENTS + ("all",))
+    exp.add_argument("which",
+                     choices=[e.key for e in EXPERIMENTS] + ["all"])
     exp.add_argument("--scale", type=int, default=None,
                      help="graph scale divisor (default: REPRO_SCALE or 100)")
     exp.add_argument("--max-iterations", type=int, default=400)
@@ -398,30 +395,13 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_experiments(args) -> int:
-    from repro.harness import experiments as E
     from repro.harness.runner import GridRunner
 
-    scale = args.scale or suite.default_scale()
-    runner = GridRunner(scale=scale, max_iterations=args.max_iterations)
-    renderers = {
-        "table1": lambda: E.render_table1(scale),
-        "fig1": lambda: E.render_fig1(scale),
-        "table2": lambda: E.render_table2(runner),
-        "table4": lambda: E.render_table4(runner),
-        "table5": lambda: E.render_table5(runner),
-        "table6": lambda: E.render_table6(runner),
-        "table7": lambda: E.render_table7(runner),
-        "fig7": lambda: E.render_fig7(runner),
-        "fig8": lambda: E.render_fig8(runner),
-        "fig9": lambda: E.render_fig9(scale),
-        "fig10": lambda: E.render_fig10(runner),
-        "fig11": lambda: E.render_fig11(scale),
-        "fig12": lambda: E.render_fig12(scale),
-        "fig13": lambda: E.render_fig13(scale),
-    }
-    which = _EXPERIMENTS if args.which == "all" else (args.which,)
-    for key in which:
-        print(renderers[key]())
+    runner = GridRunner(scale=args.scale or suite.default_scale(),
+                        max_iterations=args.max_iterations)
+    rows = EXPERIMENTS if args.which == "all" else (experiment(args.which),)
+    for exp in rows:
+        print(exp.render(runner))
         print()
     return 0
 

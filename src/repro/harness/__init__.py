@@ -4,8 +4,12 @@
   a memoizing grid runner shared by all benchmarks.
 - :mod:`repro.harness.tables` — plain-text table formatting that mimics the
   paper's layout.
-- :mod:`repro.harness.experiments` — one driver per paper table/figure (the
-  per-experiment index in DESIGN.md maps each to its regenerating benchmark).
+- :mod:`repro.harness.experiments` — one driver per paper table/figure and
+  :data:`~repro.harness.experiments.EXPERIMENTS`, the one ordered list of
+  them that the CLI, the report, the CSV export and the benchmark
+  regenerator iterate.
+- :mod:`repro.harness.report` / :mod:`repro.harness.export` — the whole
+  table as one text report / as CSV series.
 """
 
 from repro.harness.runner import GridRunner, scaled_spec

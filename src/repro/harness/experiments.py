@@ -1,15 +1,22 @@
-"""One driver per paper table/figure.
+"""One driver per paper table/figure, and the table that lists them.
 
-Every function returns plain data structures (so tests can assert on them)
-and has a ``render_*`` companion producing the paper-style text table.  The
-benchmark files under ``benchmarks/`` are thin wrappers that call these and
-print/save the output; the mapping is DESIGN.md's per-experiment index.
+Every data function returns plain data structures (so tests can assert on
+them) and has a ``render_*`` companion producing the paper-style text
+table; experiments with plot-ready series also have a ``*_csv`` flattener.
+
+:data:`EXPERIMENTS` is the one ordered list of the paper's experiments.
+``python -m repro experiments``, :func:`repro.harness.report.generate_report`,
+:func:`repro.harness.export.export_all` and the regenerator in
+``benchmarks/bench_experiments.py`` all iterate it, and
+``tests/test_paper_claims.py`` checks each row's claims.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +34,9 @@ from repro.harness.runner import GridRunner, scaled_spec
 from repro.harness.tables import fmt_ms, fmt_range, fmt_speedup, format_table
 
 __all__ = [
+    "Experiment",
+    "EXPERIMENTS",
+    "experiment",
     "PROGRAM_LABELS",
     "table1",
     "render_table1",
@@ -73,6 +83,9 @@ PROGRAM_LABELS = {
     "cs": "CS",
 }
 
+CSVTable = tuple[str, list[str], list]
+"""``(file name, header, rows)`` of one experiment's plot-ready series."""
+
 GRAPH_LABELS = {
     "livejournal": "LiveJournal",
     "pokec": "Pokec",
@@ -108,6 +121,11 @@ def render_table1(scale: int | None = None) -> str:
     )
 
 
+def table1_csv(runner: GridRunner) -> CSVTable:
+    return ("table1_graphs.csv", ["graph", "edges", "vertices"],
+            table1(runner.scale))
+
+
 def fig1_series(
     scale: int | None = None, *, max_points: int = 40
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -124,6 +142,14 @@ def fig1_series(
             degrees, counts = degrees[pick], counts[pick]
         out[name] = (degrees, counts)
     return out
+
+
+def fig1_csv(runner: GridRunner) -> CSVTable:
+    rows = []
+    for name, (deg, cnt) in fig1_series(runner.scale).items():
+        rows.extend((name, int(d), int(c)) for d, c in zip(deg, cnt))
+    return ("fig1_degree_distribution.csv",
+            ["graph", "degree", "vertex_count"], rows)
 
 
 def render_fig1(scale: int | None = None) -> str:
@@ -272,6 +298,20 @@ def table4(
     return out
 
 
+def table4_csv(runner: GridRunner) -> CSVTable:
+    rows = []
+    for gname, cells in table4(runner).items():
+        for prog, cell in cells.items():
+            rows.append((
+                gname, prog,
+                f"{cell['cw']:.6f}", f"{cell['gs']:.6f}",
+                f"{cell['vwc'][0]:.6f}", f"{cell['vwc'][1]:.6f}",
+            ))
+    return ("table4_runtimes.csv",
+            ["graph", "program", "cusha_cw_ms", "cusha_gs_ms",
+             "vwc_best_ms", "vwc_worst_ms"], rows)
+
+
 def render_table4(runner: GridRunner, **kw) -> str:
     kernel_only = kw.get("kernel_only", False)
     data = table4(runner, **kw)
@@ -363,6 +403,28 @@ def table6(
     return _speedup_rows(
         runner, runner.mtcpu_range, graphs=graphs, programs=programs
     )
+
+
+def _speedups_csv(baseline: str, data) -> CSVTable:
+    rows = []
+    for key, d in data.items():
+        kind, name = key.split(":", 1)
+        rows.append((
+            kind, name,
+            f"{d['gs'][0]:.4f}", f"{d['gs'][1]:.4f}",
+            f"{d['cw'][0]:.4f}", f"{d['cw'][1]:.4f}",
+        ))
+    return (f"speedups_over_{baseline}.csv",
+            ["aggregate", "name", "gs_min", "gs_max", "cw_min", "cw_max"],
+            rows)
+
+
+def table5_csv(runner: GridRunner) -> CSVTable:
+    return _speedups_csv("vwc", table5(runner))
+
+
+def table6_csv(runner: GridRunner) -> CSVTable:
+    return _speedups_csv("mtcpu", table6(runner))
 
 
 def _render_speedups(data, title, programs, graphs) -> str:
@@ -509,6 +571,17 @@ def fig7_frontier_traces(
     return out
 
 
+def fig7_csv(runner: GridRunner) -> CSVTable:
+    rows = []
+    for gname, engines in fig7_traces(runner).items():
+        for engine, pts in engines.items():
+            for it, (t, u) in enumerate(pts, start=1):
+                rows.append((gname, engine, it, f"{t:.6f}", u))
+    return ("fig7_bfs_traces.csv",
+            ["graph", "engine", "iteration", "cumulative_ms",
+             "updated_vertices"], rows)
+
+
 def render_fig7(runner: GridRunner, **kw) -> str:
     from repro.harness.plots import trace_plot
 
@@ -558,6 +631,16 @@ def fig8_efficiencies(
     return {
         k: {m: float(np.mean(v)) for m, v in d.items()} for k, d in acc.items()
     }
+
+
+def fig8_csv(runner: GridRunner) -> CSVTable:
+    rows = [
+        (engine, f"{d['gst']:.5f}", f"{d['gld']:.5f}", f"{d['warp']:.5f}")
+        for engine, d in fig8_efficiencies(runner).items()
+    ]
+    return ("fig8_efficiencies.csv",
+            ["engine", "gst_efficiency", "gld_efficiency", "warp_efficiency"],
+            rows)
 
 
 def render_fig8(runner: GridRunner, **kw) -> str:
@@ -634,6 +717,16 @@ def fig9_memory(
     return out
 
 
+def fig9_csv(runner: GridRunner) -> CSVTable:
+    rows = []
+    for gname, reps in fig9_memory(runner.scale).items():
+        for rep, (lo, avg, hi) in reps.items():
+            rows.append((gname, rep, f"{lo:.4f}", f"{avg:.4f}", f"{hi:.4f}"))
+    return ("fig9_memory.csv",
+            ["graph", "representation", "min_norm", "avg_norm", "max_norm"],
+            rows)
+
+
 def render_fig9(scale: int | None = None, **kw) -> str:
     data = fig9_memory(scale, **kw)
     rows = []
@@ -692,6 +785,16 @@ def fig10_breakdown(
             _res, tracer = runner.run_traced(graph, prog, key)
             out[prog][label] = _trace_time_components(tracer)
     return out
+
+
+def fig10_csv(runner: GridRunner) -> CSVTable:
+    rows = []
+    for prog, engines in fig10_breakdown(runner).items():
+        for engine, (h2d, kern, d2h) in engines.items():
+            rows.append(
+                (prog, engine, f"{h2d:.6f}", f"{kern:.6f}", f"{d2h:.6f}"))
+    return ("fig10_time_breakdown.csv",
+            ["program", "engine", "h2d_ms", "kernel_ms", "d2h_ms"], rows)
 
 
 def render_fig10(runner: GridRunner, **kw) -> str:
@@ -772,6 +875,17 @@ def fig11_histograms(scale: int | None = None) -> dict[str, dict[str, np.ndarray
     return out
 
 
+def fig11_csv(runner: GridRunner) -> CSVTable:
+    rows = []
+    for panel, series in fig11_histograms(runner.scale).items():
+        for label, counts in series.items():
+            rows.extend(
+                (panel, label, size, int(c)) for size, c in enumerate(counts)
+            )
+    return ("fig11_window_sizes.csv",
+            ["panel", "series", "window_size", "count"], rows)
+
+
 def render_fig11(scale: int | None = None) -> str:
     data = fig11_histograms(scale)
     parts = ["Figure 11: frequency of window sizes (bins 0..128; last bin clipped)"]
@@ -827,6 +941,15 @@ def fig12_sensitivity(
     }
 
 
+def fig12_csv(runner: GridRunner) -> CSVTable:
+    rows = [
+        (label, f"{d['gs']:.4f}", f"{d['cw']:.4f}")
+        for label, d in fig12_sensitivity(runner.scale).items()
+    ]
+    return ("fig12_sensitivity.csv",
+            ["graph_and_n", "gs_normalized", "cw_normalized"], rows)
+
+
 def render_fig12(scale: int | None = None, **kw) -> str:
     data = fig12_sensitivity(scale, **kw)
     rows = [
@@ -869,6 +992,15 @@ def fig13_speedups(
     return out
 
 
+def fig13_csv(runner: GridRunner) -> CSVTable:
+    rows = []
+    for label, d in fig13_speedups(runner.scale).items():
+        for w, s in d.items():
+            rows.append((label, w, f"{s:.4f}"))
+    return ("fig13_speedups.csv",
+            ["graph", "virtual_warp_size", "cw_speedup"], rows)
+
+
 def render_fig13(scale: int | None = None, **kw) -> str:
     data = fig13_speedups(scale, **kw)
     rows = [
@@ -880,3 +1012,76 @@ def render_fig13(scale: int | None = None, **kw) -> str:
         rows,
         title="Figure 13: CW speedup over VWC-CSR per virtual warp size (SSSP)",
     )
+
+
+# ======================================================================
+# The experiment table
+# ======================================================================
+
+@dataclass(frozen=True)
+class Experiment:
+    """One paper table or figure.
+
+    ``key`` is the ``repro experiments`` argument, ``stem`` names the
+    archived ``benchmarks/results/<stem>.txt``, ``title`` heads the
+    report's section.  ``render`` produces the text from a
+    :class:`~repro.harness.runner.GridRunner` (experiments that run no grid
+    cell read only ``runner.scale``); ``csv``, when set, flattens the
+    plot-ready series.  ``rmat_study`` marks the R-MAT sensitivity figures,
+    which the report can skip.
+    """
+
+    key: str
+    stem: str
+    title: str
+    render: Callable[[GridRunner], str]
+    csv: Callable[[GridRunner], CSVTable] | None = None
+    rmat_study: bool = False
+
+
+def _at_scale(render: Callable[[int], str]) -> Callable[[GridRunner], str]:
+    return lambda runner: render(runner.scale)
+
+
+EXPERIMENTS: tuple[Experiment, ...] = (
+    Experiment("table1", "table1_graphs", "Inputs",
+               _at_scale(render_table1), table1_csv),
+    Experiment("fig1", "fig1_degree_distribution", "Degree distributions",
+               _at_scale(render_fig1), fig1_csv),
+    Experiment("table2", "table2_vwc_efficiency", "VWC-CSR efficiency",
+               render_table2),
+    Experiment("table3", "table3_programs", "Programming interfaces",
+               lambda runner: render_table3()),
+    Experiment("table4", "table4_runtimes", "Running times",
+               render_table4, table4_csv),
+    Experiment("table4-kernel", "table4_runtimes_kernel_only",
+               "Running times (kernel only)",
+               lambda runner: render_table4(runner, kernel_only=True)),
+    Experiment("table5", "table5_speedup_vwc", "Speedups over VWC-CSR",
+               render_table5, table5_csv),
+    Experiment("table6", "table6_speedup_mtcpu", "Speedups over MTCPU-CSR",
+               render_table6, table6_csv),
+    Experiment("table7", "table7_bfs_teps", "BFS TEPS", render_table7),
+    Experiment("fig7", "fig7_bfs_convergence", "BFS convergence traces",
+               render_fig7, fig7_csv),
+    Experiment("fig8", "fig8_profiled_efficiency", "Profiled efficiencies",
+               render_fig8, fig8_csv),
+    Experiment("fig9", "fig9_memory_footprint", "Memory footprint",
+               _at_scale(render_fig9), fig9_csv),
+    Experiment("fig10", "fig10_time_breakdown", "Time breakdown",
+               render_fig10, fig10_csv),
+    Experiment("fig11", "fig11_window_sizes", "Window-size distributions",
+               _at_scale(render_fig11), fig11_csv, rmat_study=True),
+    Experiment("fig12", "fig12_gs_cw_sensitivity", "GS vs CW sensitivity",
+               _at_scale(render_fig12), fig12_csv, rmat_study=True),
+    Experiment("fig13", "fig13_cw_vwc_rmat", "CW vs VWC on R-MAT",
+               _at_scale(render_fig13), fig13_csv, rmat_study=True),
+)
+
+
+def experiment(key: str) -> Experiment:
+    """The :data:`EXPERIMENTS` row with CLI key ``key``."""
+    for exp in EXPERIMENTS:
+        if exp.key == key:
+            return exp
+    raise KeyError(key)

@@ -1,9 +1,12 @@
 """CSV export for every experiment's data (plot-ready series).
 
 The text tables in ``benchmarks/results/`` mimic the paper's layout; this
-module flattens the same data into CSV files so the figures can be
-re-plotted with any tool.  Each exporter writes one file and returns its
-path; :func:`export_all` drives the full set.
+module writes the same data as CSV files so the figures can be re-plotted
+with any tool.  Each experiment's ``csv`` flattener (see
+:data:`repro.harness.experiments.EXPERIMENTS`) supplies the rows;
+:func:`export_experiment` writes one file and :func:`export_all` writes
+every one.  :func:`export_trace` and :func:`export_metrics` flatten one
+traced grid cell.
 """
 
 from __future__ import annotations
@@ -15,17 +18,7 @@ from repro.harness import experiments as E
 from repro.harness.runner import GridRunner
 
 __all__ = [
-    "export_table1",
-    "export_fig7",
-    "export_fig1",
-    "export_table4",
-    "export_speedups",
-    "export_fig8",
-    "export_fig9",
-    "export_fig10",
-    "export_fig11",
-    "export_fig12",
-    "export_fig13",
+    "export_experiment",
     "export_trace",
     "export_metrics",
     "export_all",
@@ -41,135 +34,12 @@ def _write(path: pathlib.Path, header: list[str], rows) -> pathlib.Path:
     return path
 
 
-def export_table1(out_dir: str | pathlib.Path, scale: int) -> pathlib.Path:
-    rows = E.table1(scale)
-    return _write(
-        pathlib.Path(out_dir) / "table1_graphs.csv",
-        ["graph", "edges", "vertices"],
-        rows,
-    )
-
-
-def export_fig1(out_dir: str | pathlib.Path, scale: int) -> pathlib.Path:
-    rows = []
-    for name, (deg, cnt) in E.fig1_series(scale).items():
-        rows.extend((name, int(d), int(c)) for d, c in zip(deg, cnt))
-    return _write(
-        pathlib.Path(out_dir) / "fig1_degree_distribution.csv",
-        ["graph", "degree", "vertex_count"],
-        rows,
-    )
-
-
-def export_table4(
-    out_dir: str | pathlib.Path, runner: GridRunner
+def export_experiment(
+    out_dir: str | pathlib.Path, exp: E.Experiment, runner: GridRunner
 ) -> pathlib.Path:
-    data = E.table4(runner)
-    rows = []
-    for gname, cells in data.items():
-        for prog, cell in cells.items():
-            rows.append(
-                (
-                    gname,
-                    prog,
-                    f"{cell['cw']:.6f}",
-                    f"{cell['gs']:.6f}",
-                    f"{cell['vwc'][0]:.6f}",
-                    f"{cell['vwc'][1]:.6f}",
-                )
-            )
-    return _write(
-        pathlib.Path(out_dir) / "table4_runtimes.csv",
-        ["graph", "program", "cusha_cw_ms", "cusha_gs_ms",
-         "vwc_best_ms", "vwc_worst_ms"],
-        rows,
-    )
-
-
-def export_speedups(
-    out_dir: str | pathlib.Path, runner: GridRunner, *, baseline: str
-) -> pathlib.Path:
-    """``baseline`` is ``"vwc"`` (Table 5) or ``"mtcpu"`` (Table 6)."""
-    data = E.table5(runner) if baseline == "vwc" else E.table6(runner)
-    rows = []
-    for key, d in data.items():
-        kind, name = key.split(":", 1)
-        rows.append(
-            (
-                kind,
-                name,
-                f"{d['gs'][0]:.4f}",
-                f"{d['gs'][1]:.4f}",
-                f"{d['cw'][0]:.4f}",
-                f"{d['cw'][1]:.4f}",
-            )
-        )
-    return _write(
-        pathlib.Path(out_dir) / f"speedups_over_{baseline}.csv",
-        ["aggregate", "name", "gs_min", "gs_max", "cw_min", "cw_max"],
-        rows,
-    )
-
-
-def export_fig7(
-    out_dir: str | pathlib.Path, runner: GridRunner
-) -> pathlib.Path:
-    data = E.fig7_traces(runner)
-    rows = []
-    for gname, engines in data.items():
-        for engine, pts in engines.items():
-            for it, (t, u) in enumerate(pts, start=1):
-                rows.append((gname, engine, it, f"{t:.6f}", u))
-    return _write(
-        pathlib.Path(out_dir) / "fig7_bfs_traces.csv",
-        ["graph", "engine", "iteration", "cumulative_ms", "updated_vertices"],
-        rows,
-    )
-
-
-def export_fig8(
-    out_dir: str | pathlib.Path, runner: GridRunner
-) -> pathlib.Path:
-    data = E.fig8_efficiencies(runner)
-    rows = [
-        (engine, f"{d['gst']:.5f}", f"{d['gld']:.5f}", f"{d['warp']:.5f}")
-        for engine, d in data.items()
-    ]
-    return _write(
-        pathlib.Path(out_dir) / "fig8_efficiencies.csv",
-        ["engine", "gst_efficiency", "gld_efficiency", "warp_efficiency"],
-        rows,
-    )
-
-
-def export_fig9(out_dir: str | pathlib.Path, scale: int) -> pathlib.Path:
-    data = E.fig9_memory(scale)
-    rows = []
-    for gname, reps in data.items():
-        for rep, (lo, avg, hi) in reps.items():
-            rows.append((gname, rep, f"{lo:.4f}", f"{avg:.4f}", f"{hi:.4f}"))
-    return _write(
-        pathlib.Path(out_dir) / "fig9_memory.csv",
-        ["graph", "representation", "min_norm", "avg_norm", "max_norm"],
-        rows,
-    )
-
-
-def export_fig10(
-    out_dir: str | pathlib.Path, runner: GridRunner, **kw
-) -> pathlib.Path:
-    data = E.fig10_breakdown(runner, **kw)
-    rows = []
-    for prog, engines in data.items():
-        for engine, (h2d, kern, d2h) in engines.items():
-            rows.append(
-                (prog, engine, f"{h2d:.6f}", f"{kern:.6f}", f"{d2h:.6f}")
-            )
-    return _write(
-        pathlib.Path(out_dir) / "fig10_time_breakdown.csv",
-        ["program", "engine", "h2d_ms", "kernel_ms", "d2h_ms"],
-        rows,
-    )
+    """Write one experiment's CSV series; returns its path."""
+    name, header, rows = exp.csv(runner)
+    return _write(pathlib.Path(out_dir) / name, header, rows)
 
 
 def export_trace(
@@ -216,63 +86,10 @@ def export_metrics(
     )
 
 
-def export_fig11(out_dir: str | pathlib.Path, scale: int) -> pathlib.Path:
-    data = E.fig11_histograms(scale)
-    rows = []
-    for panel, series in data.items():
-        for label, counts in series.items():
-            rows.extend(
-                (panel, label, size, int(c)) for size, c in enumerate(counts)
-            )
-    return _write(
-        pathlib.Path(out_dir) / "fig11_window_sizes.csv",
-        ["panel", "series", "window_size", "count"],
-        rows,
-    )
-
-
-def export_fig12(out_dir: str | pathlib.Path, scale: int, **kw) -> pathlib.Path:
-    data = E.fig12_sensitivity(scale, **kw)
-    rows = [
-        (label, f"{d['gs']:.4f}", f"{d['cw']:.4f}")
-        for label, d in data.items()
-    ]
-    return _write(
-        pathlib.Path(out_dir) / "fig12_sensitivity.csv",
-        ["graph_and_n", "gs_normalized", "cw_normalized"],
-        rows,
-    )
-
-
-def export_fig13(out_dir: str | pathlib.Path, scale: int, **kw) -> pathlib.Path:
-    data = E.fig13_speedups(scale, **kw)
-    rows = []
-    for label, d in data.items():
-        for w, s in d.items():
-            rows.append((label, w, f"{s:.4f}"))
-    return _write(
-        pathlib.Path(out_dir) / "fig13_speedups.csv",
-        ["graph", "virtual_warp_size", "cw_speedup"],
-        rows,
-    )
-
-
 def export_all(
     out_dir: str | pathlib.Path, runner: GridRunner
 ) -> list[pathlib.Path]:
-    """Write every CSV; reuses the runner's memoized grid."""
-    scale = runner.scale
-    return [
-        export_table1(out_dir, scale),
-        export_fig1(out_dir, scale),
-        export_table4(out_dir, runner),
-        export_speedups(out_dir, runner, baseline="vwc"),
-        export_speedups(out_dir, runner, baseline="mtcpu"),
-        export_fig7(out_dir, runner),
-        export_fig8(out_dir, runner),
-        export_fig9(out_dir, scale),
-        export_fig10(out_dir, runner),
-        export_fig11(out_dir, scale),
-        export_fig12(out_dir, scale),
-        export_fig13(out_dir, scale),
-    ]
+    """Write the CSV of every :data:`~repro.harness.experiments.EXPERIMENTS`
+    row that has one, in table order; reuses the runner's memoized grid."""
+    return [export_experiment(out_dir, exp, runner)
+            for exp in E.EXPERIMENTS if exp.csv is not None]

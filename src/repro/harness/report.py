@@ -1,9 +1,10 @@
 """One-shot full evaluation report.
 
-:func:`generate_report` renders every table and figure against one
-memoizing :class:`~repro.harness.runner.GridRunner` and stitches them into
-a single markdown-ish text document — the quickest way to eyeball the whole
-reproduction (also reachable as ``python -m repro experiments all``).
+:func:`generate_report` renders every row of
+:data:`~repro.harness.experiments.EXPERIMENTS` against one memoizing
+:class:`~repro.harness.runner.GridRunner` and stitches them into a single
+markdown-ish text document, one banner-titled section per row in table
+order — the same sections ``python -m repro experiments all`` prints.
 """
 
 from __future__ import annotations
@@ -11,38 +12,11 @@ from __future__ import annotations
 import pathlib
 import time
 
-from repro.harness import experiments as E
+from repro.harness.experiments import EXPERIMENTS
 from repro.harness.runner import GridRunner
-from repro.harness.tables import banner, format_table
+from repro.harness.tables import banner
 
-__all__ = ["generate_report", "render_telemetry", "write_report"]
-
-
-def render_telemetry(
-    runner: GridRunner,
-    *,
-    graph: str = "livejournal",
-    program: str = "bfs",
-    engine: str = "cusha-cw",
-) -> str:
-    """Span counts and published metrics for one traced grid cell."""
-    _res, tracer = runner.run_traced(graph, program, engine)
-    kinds = {k: len(tracer.find(kind=k))
-             for k in ("run", "iteration", "stage", "transfer")}
-    rows = [("spans." + k, "count", str(v)) for k, v in kinds.items()]
-    for name, snap in tracer.metrics.as_dict().items():
-        kind = snap["type"]
-        if kind == "histogram":
-            value = (f"n={snap['count']} mean={snap['mean']:.1f} "
-                     f"max={snap['max']}")
-        else:
-            value = str(snap["value"])
-        rows.append((name, kind, value))
-    return format_table(
-        ["Metric", "Type", "Value"],
-        rows,
-        title=f"Telemetry: {graph} / {program} / {engine}",
-    )
+__all__ = ["generate_report", "write_report"]
 
 
 def generate_report(
@@ -55,35 +29,15 @@ def generate_report(
     ``include_rmat_study=False`` skips Figures 11-13 (the R-MAT grid is the
     most expensive part) for a quick look at the Table-1-suite results.
     """
-    scale = runner.scale
-    sections: list[tuple[str, str]] = [
-        ("Inputs", E.render_table1(scale)),
-        ("Degree distributions", E.render_fig1(scale)),
-        ("Programming interfaces", E.render_table3()),
-        ("VWC-CSR efficiency", E.render_table2(runner)),
-        ("Running times", E.render_table4(runner)),
-        ("Running times (kernel only)",
-         E.render_table4(runner, kernel_only=True)),
-        ("Speedups over VWC-CSR", E.render_table5(runner)),
-        ("Speedups over MTCPU-CSR", E.render_table6(runner)),
-        ("BFS TEPS", E.render_table7(runner)),
-        ("BFS convergence traces", E.render_fig7(runner)),
-        ("Profiled efficiencies", E.render_fig8(runner)),
-        ("Memory footprint", E.render_fig9(scale)),
-        ("Time breakdown", E.render_fig10(runner)),
-        ("Telemetry sample", render_telemetry(runner)),
-    ]
-    if include_rmat_study:
-        sections += [
-            ("Window-size distributions", E.render_fig11(scale)),
-            ("GS vs CW sensitivity", E.render_fig12(scale)),
-            ("CW vs VWC on R-MAT", E.render_fig13(scale)),
-        ]
+    body = "\n\n".join(
+        f"{banner(exp.title)}\n{exp.render(runner)}"
+        for exp in EXPERIMENTS
+        if include_rmat_study or not exp.rmat_study
+    )
     header = banner(
-        f"CuSha reproduction — full evaluation (scale 1/{scale}, "
+        f"CuSha reproduction — full evaluation (scale 1/{runner.scale}, "
         f"generated {time.strftime('%Y-%m-%d %H:%M:%S')})"
     )
-    body = "\n\n".join(f"{banner(title)}\n{text}" for title, text in sections)
     return f"{header}\n\n{body}\n"
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.harness import export
+from repro.harness.experiments import EXPERIMENTS, experiment
 from repro.harness.runner import GridRunner
 
 SCALE = 2000
@@ -97,44 +98,48 @@ class TestCLIExperiments:
 
     def test_parser_lists_all_experiments(self):
         parser = build_parser()
-        # argparse stores choices on the positional action of the subparser;
-        # smoke-check a couple through parse_args.
-        args = parser.parse_args(["experiments", "fig13"])
-        assert args.which == "fig13"
+        for exp in EXPERIMENTS:
+            args = parser.parse_args(["experiments", exp.key])
+            assert args.which == exp.key
+
+
+def export_csv(tmp_path, key, runner):
+    return export.export_experiment(tmp_path, experiment(key), runner)
 
 
 class TestExport:
-    def test_table1_csv(self, tmp_path):
-        path = export.export_table1(tmp_path, SCALE)
+    def test_table1_csv(self, tmp_path, runner):
+        path = export_csv(tmp_path, "table1", runner)
         rows = list(csv.reader(open(path)))
         assert rows[0] == ["graph", "edges", "vertices"]
         assert len(rows) == 7
 
-    def test_fig1_csv(self, tmp_path):
-        path = export.export_fig1(tmp_path, SCALE)
+    def test_fig1_csv(self, tmp_path, runner):
+        path = export_csv(tmp_path, "fig1", runner)
         rows = list(csv.reader(open(path)))
         assert rows[0] == ["graph", "degree", "vertex_count"]
         assert len(rows) > 10
 
     def test_table4_csv(self, tmp_path, runner):
-        path = export.export_table4(tmp_path, runner)
+        path = export_csv(tmp_path, "table4", runner)
         rows = list(csv.reader(open(path)))
         assert len(rows) == 1 + 6 * 8
         assert float(rows[1][2]) > 0
 
     def test_speedups_csv(self, tmp_path, runner):
-        path = export.export_speedups(tmp_path, runner, baseline="vwc")
+        path = export_csv(tmp_path, "table5", runner)
+        assert path.name == "speedups_over_vwc.csv"
         rows = list(csv.reader(open(path)))
         kinds = {r[0] for r in rows[1:]}
         assert kinds == {"prog", "graph"}
 
-    def test_fig9_csv(self, tmp_path):
-        path = export.export_fig9(tmp_path, SCALE)
+    def test_fig9_csv(self, tmp_path, runner):
+        path = export_csv(tmp_path, "fig9", runner)
         rows = list(csv.reader(open(path)))
         assert len(rows) == 1 + 6 * 3
 
-    def test_fig11_csv(self, tmp_path):
-        path = export.export_fig11(tmp_path, SCALE)
+    def test_fig11_csv(self, tmp_path, runner):
+        path = export_csv(tmp_path, "fig11", runner)
         rows = list(csv.reader(open(path)))
         assert rows[0] == ["panel", "series", "window_size", "count"]
         panels = {r[0] for r in rows[1:]}

@@ -30,17 +30,46 @@ class TestDocuments:
         assert "CuSha" in text and "HPDC 2014" in text
         assert "title-collision mismatch" in text
 
-    def test_design_experiment_index_regenerators_exist(self):
-        text = (ROOT / "DESIGN.md").read_text()
-        for bench in re.findall(r"`benchmarks/(bench_\w+\.py)`", text):
-            assert (ROOT / "benchmarks" / bench).exists(), bench
+    def test_every_paper_table_and_figure_is_an_experiment(self):
+        from repro.harness.experiments import EXPERIMENTS
 
-    def test_every_paper_table_and_figure_has_a_bench(self):
-        benches = {p.name for p in (ROOT / "benchmarks").glob("bench_*.py")}
+        keys = [exp.key for exp in EXPERIMENTS]
+        assert len(keys) == len(set(keys)), "duplicate experiment keys"
         for key in ("table1", "table2", "table3", "table4", "table5",
                     "table6", "table7", "fig1", "fig7", "fig8", "fig9",
                     "fig10", "fig11", "fig12", "fig13"):
-            assert any(key in b for b in benches), key
+            assert key in keys, key
+
+    def test_design_experiment_index_names_every_row(self):
+        """DESIGN.md's per-experiment index names every ``EXPERIMENTS``
+        key, and every regenerator file it names exists."""
+        from repro.harness.experiments import EXPERIMENTS
+
+        design = (ROOT / "DESIGN.md").read_text()
+        for exp in EXPERIMENTS:
+            assert f"`{exp.key}`" in design, exp.key
+        for bench in re.findall(r"`benchmarks/(bench_\w+\.py)`", design):
+            assert (ROOT / "benchmarks" / bench).exists(), bench
+
+    def test_every_experiment_has_a_claim_test(self):
+        """Each row owns a ``test_<key>_*`` in tests/test_paper_claims.py
+        (a test belongs to the longest key it starts with), and every claim
+        test EXPERIMENTS.md names exists."""
+        from repro.harness.experiments import EXPERIMENTS
+
+        text = (ROOT / "tests" / "test_paper_claims.py").read_text()
+        tests = re.findall(r"^def (test_\w+)\(", text, re.MULTILINE)
+        prefixes = {exp.key: f"test_{exp.key.replace('-', '_')}_"
+                    for exp in EXPERIMENTS}
+        owners = set()
+        for name in tests:
+            keys = [k for k, p in prefixes.items() if name.startswith(p)]
+            if keys:
+                owners.add(max(keys, key=len))
+        assert owners == set(prefixes)
+        doc = (ROOT / "EXPERIMENTS.md").read_text()
+        named = re.findall(r"test_paper_claims\.py::(test_\w+)", doc)
+        assert named and set(named) <= set(tests)
 
     def test_experiments_doc_covers_every_experiment(self):
         text = (ROOT / "EXPERIMENTS.md").read_text()

@@ -2,6 +2,9 @@
 
 import pytest
 
+import re
+
+from repro.harness.experiments import EXPERIMENTS
 from repro.harness.report import generate_report, write_report
 from repro.harness.runner import GridRunner
 
@@ -29,6 +32,12 @@ def test_report_contains_every_section(runner):
         "Time breakdown",
     ):
         assert section in report, section
+
+
+def test_sections_follow_the_experiment_table(runner):
+    report = generate_report(runner, include_rmat_study=False)
+    titles = re.findall(r"^=+\n(.+)\n=+$", report, re.MULTILINE)
+    assert titles[1:] == [e.title for e in EXPERIMENTS if not e.rmat_study]
 
 
 def test_rmat_study_toggle(runner):
