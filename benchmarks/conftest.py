@@ -7,7 +7,8 @@ hot kernels with full pytest-benchmark statistics; the other
 ``bench_*.py`` files are ablations and the perfgate benchmark rows.
 
 Set ``REPRO_SCALE`` to trade fidelity for speed (default 100 = 1/100 of the
-paper's graph sizes; the grid run takes ~10 minutes at that scale).
+paper's graph sizes; ``bench_experiments.py`` takes about 3 minutes at
+that scale on a 2-core host).
 A session-scoped :class:`~repro.harness.runner.GridRunner` memoizes all
 engine runs, so tables sharing cells (4, 5, 7, figures 7/8/10) price each
 cell once.

@@ -63,6 +63,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from repro.algorithms import rebuild_for
 from repro.analysis.certify import (
     FALSIFY_MAX_SWEEPS,
     PROVED,
@@ -96,7 +97,6 @@ from repro.analysis.kernel_ir import (
     reads_param,
 )
 from repro.analysis.violations import Violation
-from repro.algorithms import rebuild_for
 from repro.errors import ProgramKeyError
 from repro.frameworks.scalar import vertex_sweep
 

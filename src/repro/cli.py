@@ -96,6 +96,7 @@ from repro.harness.experiments import EXPERIMENTS, experiment
 
 __all__ = ["main", "build_parser"]
 
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
